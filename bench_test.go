@@ -39,6 +39,7 @@ import (
 	"tensorbase/internal/experiments"
 	"tensorbase/internal/memlimit"
 	"tensorbase/internal/nn"
+	"tensorbase/internal/parallel"
 	"tensorbase/internal/shard"
 	"tensorbase/internal/sql"
 	"tensorbase/internal/storage"
@@ -758,7 +759,23 @@ func BenchmarkPredictServing(b *testing.B) {
 	}
 
 	b.Run("serial_nocache", func(b *testing.B) {
-		run(b, open(b, engine.Options{InferBatch: batch, DisablePredictPipeline: true}))
+		// Drain the compute budget: with no worker token free, PREDICT
+		// takes InferOp's serial fallback, as in production.
+		drained := parallel.NewBudget(1)
+		drained.Acquire(1)
+		prev := parallel.SetDefault(drained)
+		b.Cleanup(func() { parallel.SetDefault(prev) })
+		db := open(b, engine.Options{InferBatch: batch})
+		_, stats, err := db.ExecProfiled(query)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, s := range stats {
+			if s.Name == "predict" && s.Note != "serial" {
+				b.Fatalf("predict ran %q with the budget drained, want serial", s.Note)
+			}
+		}
+		run(b, db)
 	})
 	b.Run("pipelined_nocache", func(b *testing.B) {
 		run(b, open(b, engine.Options{InferBatch: batch}))

@@ -71,9 +71,7 @@ func main() {
 	threshold := flag.Int64("threshold", 2<<30, "optimizer memory-limit threshold in bytes")
 	cacheDist := flag.Float64("cache", -1, "enable per-model result caching with this squared-L2 distance threshold (0 = exact repeats only, negative = off)")
 	cacheMax := flag.Int("cache-max", 0, "result cache admission cap in entries (0 = unbounded)")
-	noPipeline := flag.Bool("no-pipeline", false, "disable pipelined PREDICT batching")
 	quantized := flag.Bool("quantized", false, "serve every PREDICT from the model's int8-resident quantized twin (as if each query said OPTIONS (quantized))")
-	noCoalesce := flag.Bool("no-coalesce", false, "disable cross-query PREDICT coalescing")
 	coalesceWindow := flag.Duration("coalesce-window", 0, "how long a PREDICT leader waits for other queries to join its model invocation (0 = default)")
 	serve := flag.String("serve", "", "serve SQL-over-HTTP (/query), /metrics, /debug/pprof, and /healthz on this address (e.g. :9090); keeps serving after stdin closes")
 	maxSessions := flag.Int("max-sessions", 0, "SQL-over-HTTP session cap (0 = default)")
@@ -86,16 +84,14 @@ func main() {
 	flag.Parse()
 
 	eopts := engine.Options{
-		MemoryBudget:           *memBudget,
-		MemoryThreshold:        *threshold,
-		ResultCache:            *cacheDist >= 0,
-		ResultCacheDistance:    max(*cacheDist, 0),
-		ResultCacheMaxEntries:  *cacheMax,
-		DisablePredictPipeline: *noPipeline,
-		PredictQuantized:       *quantized,
-		DisablePredictCoalesce: *noCoalesce,
-		PredictCoalesceWindow:  *coalesceWindow,
-		SlowQueryThreshold:     *slowQuery,
+		MemoryBudget:          *memBudget,
+		MemoryThreshold:       *threshold,
+		ResultCache:           *cacheDist >= 0,
+		ResultCacheDistance:   max(*cacheDist, 0),
+		ResultCacheMaxEntries: *cacheMax,
+		PredictQuantized:      *quantized,
+		PredictCoalesceWindow: *coalesceWindow,
+		SlowQueryThreshold:    *slowQuery,
 	}
 
 	// Replica mode: the follower engine is owned by the replication loop;

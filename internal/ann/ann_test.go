@@ -62,8 +62,6 @@ func TestIndexValidation(t *testing.T) {
 	for _, idx := range []Index{
 		NewBrute(3),
 		NewHNSW(3, HNSWConfig{}),
-		NewLSH(3, LSHConfig{}),
-		NewIVF(3, IVFConfig{}),
 	} {
 		if err := idx.Add(1, []float32{1, 2}); err == nil {
 			t.Fatalf("%T: wrong-dimension Add must error", idx)
@@ -84,14 +82,12 @@ func TestIndexValidation(t *testing.T) {
 }
 
 func TestEmptyIndexSearch(t *testing.T) {
-	for _, idx := range []Index{NewHNSW(3, HNSWConfig{}), NewIVF(3, IVFConfig{})} {
-		res, err := idx.Search([]float32{1, 2, 3}, 5)
-		if err != nil {
-			t.Fatalf("%T: %v", idx, err)
-		}
-		if len(res) != 0 {
-			t.Fatalf("%T: empty index returned %v", idx, res)
-		}
+	res, err := NewHNSW(3, HNSWConfig{}).Search([]float32{1, 2, 3}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 0 {
+		t.Fatalf("empty index returned %v", res)
 	}
 }
 
@@ -186,90 +182,6 @@ func TestHNSWExactTop1OnSeparatedPoints(t *testing.T) {
 	}
 }
 
-func TestLSHFindsNearDuplicates(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	l := NewLSH(8, LSHConfig{Tables: 10, Bits: 10, Seed: 5})
-	base := make([]float32, 8)
-	for j := range base {
-		base[j] = float32(rng.NormFloat64())
-	}
-	if err := l.Add(100, base); err != nil {
-		t.Fatal(err)
-	}
-	// Add distant noise.
-	for i := 0; i < 200; i++ {
-		v := make([]float32, 8)
-		for j := range v {
-			v[j] = float32(rng.NormFloat64() * 10)
-		}
-		if err := l.Add(int64(i), v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Query with a tiny perturbation of base: LSH must find it.
-	q := append([]float32(nil), base...)
-	q[0] += 0.001
-	res, err := l.Search(q, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) == 0 || res[0].ID != 100 {
-		t.Fatalf("LSH missed the near-duplicate: %v", res)
-	}
-}
-
-func TestLSHRecallReasonable(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	vecs, _ := clusteredData(rng, 1000, 10, 6, 0.8)
-	exact := NewBrute(10)
-	l := NewLSH(10, LSHConfig{Tables: 12, Bits: 10, Seed: 8})
-	buildAll(t, vecs, exact, l)
-	queries := vecs[:40] // self-queries are in-bucket by construction
-	if r := recallAtK(t, l, exact, queries, 5); r < 0.5 {
-		t.Fatalf("LSH recall@5 = %.3f, want >= 0.5", r)
-	}
-}
-
-func TestIVFRecallOnClusteredData(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	all, _ := clusteredData(rng, 2040, 12, 8, 0.8)
-	vecs, queries := all[:2000], all[2000:]
-	exact := NewBrute(12)
-	f := NewIVF(12, IVFConfig{NList: 16, NProbe: 4, Seed: 10})
-	buildAll(t, vecs, exact, f)
-	if r := recallAtK(t, f, exact, queries, 10); r < 0.8 {
-		t.Fatalf("IVF recall@10 = %.3f, want >= 0.8", r)
-	}
-}
-
-func TestIVFRetrainsAfterGrowth(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	f := NewIVF(4, IVFConfig{NList: 4, NProbe: 4, Seed: 12})
-	vecs, _ := clusteredData(rng, 50, 4, 4, 0.5)
-	buildAll(t, vecs, f)
-	if _, err := f.Search(vecs[0], 1); err != nil { // triggers first train
-		t.Fatal(err)
-	}
-	more, _ := clusteredData(rng, 500, 4, 4, 0.5)
-	for i, v := range more {
-		if err := f.Add(int64(100+i), v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// After 10x growth the lazy retrain must kick in and recall must hold.
-	exact := NewBrute(4)
-	buildAll(t, vecs, exact)
-	for i, v := range more {
-		if err := exact.Add(int64(100+i), v); err != nil {
-			t.Fatal(err)
-		}
-		_ = i
-	}
-	if r := recallAtK(t, f, exact, more[:30], 5); r < 0.7 {
-		t.Fatalf("IVF recall after growth = %.3f, want >= 0.7", r)
-	}
-}
-
 // Property: every index returns results sorted by distance, with distances
 // consistent with SquaredL2 against the stored vectors.
 func TestResultsSortedProperty(t *testing.T) {
@@ -281,8 +193,6 @@ func TestResultsSortedProperty(t *testing.T) {
 		idxs := []Index{
 			NewBrute(dim),
 			NewHNSW(dim, HNSWConfig{Seed: seed}),
-			NewLSH(dim, LSHConfig{Seed: seed}),
-			NewIVF(dim, IVFConfig{Seed: seed}),
 		}
 		for i, v := range vecs {
 			for _, idx := range idxs {

@@ -1,8 +1,7 @@
-// Package ann implements the approximate-nearest-neighbour indexes the
-// paper proposes to embed in the RDBMS for inference-result caching
-// (Sec. 5): hierarchical navigable small world graphs (HNSW, the index used
-// in the Sec. 7.2.2 validation), random-hyperplane LSH, IVF-flat with a
-// k-means coarse quantizer, and a brute-force index for ground truth.
+// Package ann implements the approximate-nearest-neighbour index the paper
+// proposes to embed in the RDBMS for inference-result caching (Sec. 5):
+// hierarchical navigable small world graphs (HNSW, the index used in the
+// Sec. 7.2.2 validation), plus a brute-force index for ground truth.
 package ann
 
 import (

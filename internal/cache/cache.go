@@ -237,6 +237,21 @@ func (c *ResultCache) ProbeFlight(features []float32) (pred []float32, ok bool, 
 		c.fmu.Unlock()
 		return nil, false, &Flight{c: c, key: key, f: f}, nil
 	}
+	// A leader may have committed between the lookup above and fmu: Commit
+	// inserts before it settles, so re-check the exact map rather than lead
+	// (and insert) the same features a second time.
+	c.mu.RLock()
+	id, hit := c.exact[key]
+	if hit {
+		pred = c.preds[id]
+	}
+	c.mu.RUnlock()
+	if hit {
+		c.fmu.Unlock()
+		c.misses.Add(-1)
+		c.hits.Add(1)
+		return pred, true, nil, nil
+	}
 	f := &flight{done: make(chan struct{})}
 	c.flights[key] = f
 	c.fmu.Unlock()

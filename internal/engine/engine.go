@@ -59,9 +59,6 @@ type Options struct {
 	// ResultCacheMaxEntries caps each model's cache; once full, new
 	// results are served but no longer admitted. 0 means unbounded.
 	ResultCacheMaxEntries int
-	// DisablePredictPipeline forces PREDICT to pull input batches
-	// serially instead of overlapping scan/decode with model compute.
-	DisablePredictPipeline bool
 	// PredictQuantized serves every PREDICT from the model's int8-resident
 	// quantized twin by default, as if each query said OPTIONS (quantized).
 	// Queries over models without a quantized twin fail.
@@ -72,9 +69,6 @@ type Options struct {
 	// least two PREDICTs over the model are in flight, so it adds no
 	// latency to single-query workloads.
 	PredictCoalesceWindow time.Duration
-	// DisablePredictCoalesce turns cross-query invocation coalescing off:
-	// every PREDICT pays its own model calls.
-	DisablePredictCoalesce bool
 	// QueryTimeout bounds every statement's execution; a query past the
 	// deadline fails with context.DeadlineExceeded. 0 means no limit.
 	// Contexts passed to ExecContext/QueryContext compose with it (the
@@ -148,7 +142,7 @@ type DB struct {
 
 	// Per-model inference-result caches (Sec. 5), present when
 	// Options.ResultCache is set, and per-model cross-query invocation
-	// coalescers (present unless DisablePredictCoalesce).
+	// coalescers.
 	cmu        sync.Mutex
 	caches     map[string]*cache.ResultCache
 	coalescers map[string]*udf.Coalescer
@@ -699,7 +693,7 @@ func (db *DB) BlockStats() blockstore.Stats { return db.blocks.Stats() }
 func quantizedKey(model string) string { return model + "\x00q8" }
 
 // addServingState installs the per-(model, mode) serving infrastructure: a
-// result cache when enabled, and a cross-query coalescer unless disabled.
+// result cache when enabled, and a cross-query coalescer.
 func (db *DB) addServingState(key string, m *nn.Model) error {
 	if db.opts.ResultCache {
 		dim := 1
@@ -715,16 +709,14 @@ func (db *DB) addServingState(key string, m *nn.Model) error {
 		db.caches[key] = rc
 		db.cmu.Unlock()
 	}
-	if !db.opts.DisablePredictCoalesce {
-		db.cmu.Lock()
-		db.coalescers[key] = udf.NewCoalescer(db.opts.PredictCoalesceWindow, 0)
-		db.cmu.Unlock()
-	}
+	db.cmu.Lock()
+	db.coalescers[key] = udf.NewCoalescer(db.opts.PredictCoalesceWindow, 0)
+	db.cmu.Unlock()
 	return nil
 }
 
 // coalescerFor returns the named model's cross-query invocation coalescer,
-// unless coalescing is disabled or the model is not loaded.
+// if the model is loaded.
 func (db *DB) coalescerFor(model string) (*udf.Coalescer, bool) {
 	db.cmu.Lock()
 	defer db.cmu.Unlock()

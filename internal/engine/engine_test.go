@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -15,6 +16,7 @@ import (
 	"tensorbase/internal/exec"
 	"tensorbase/internal/memlimit"
 	"tensorbase/internal/nn"
+	"tensorbase/internal/parallel"
 	"tensorbase/internal/table"
 )
 
@@ -35,6 +37,34 @@ func mustExec(t *testing.T, db *DB, sql string) *Result {
 		t.Fatalf("Exec(%q): %v", sql, err)
 	}
 	return res
+}
+
+// drainComputeBudget installs an exhausted process-wide compute budget for
+// the rest of the test, so PREDICT takes InferOp's serial fallback exactly
+// as it does in production when every worker token is held.
+func drainComputeBudget(t *testing.T) {
+	t.Helper()
+	drained := parallel.NewBudget(1)
+	drained.Acquire(1)
+	prev := parallel.SetDefault(drained)
+	t.Cleanup(func() { parallel.SetDefault(prev) })
+}
+
+// predictNote runs q under EXPLAIN ANALYZE and returns the predict stage's
+// note, which names the mode that ran ("serial" or "pipelined …").
+func predictNote(t *testing.T, db *DB, q string) string {
+	t.Helper()
+	_, stats, err := db.ExecProfiled(q)
+	if err != nil {
+		t.Fatalf("ExecProfiled(%q): %v", q, err)
+	}
+	for _, s := range stats {
+		if s.Name == "predict" {
+			return s.Note
+		}
+	}
+	t.Fatalf("no predict stage in profile of %q", q)
+	return ""
 }
 
 func TestCreateInsertSelectRoundTrip(t *testing.T) {
@@ -431,6 +461,45 @@ func TestOpenRejectsCorruptCatalog(t *testing.T) {
 	}
 }
 
+// Catalog versions 1 and 2 predate the block store; no such database
+// exists, so Open refuses them rather than guessing at their models.
+func TestOpenRejectsPreBlockstoreCatalog(t *testing.T) {
+	for _, version := range []int{1, 2} {
+		path := filepath.Join(t.TempDir(), "old.db")
+		db, err := Open(path, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		loadFraud(t, db, 4)
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(path + ".meta")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var meta map[string]any
+		if err := json.Unmarshal(raw, &meta); err != nil {
+			t.Fatal(err)
+		}
+		meta["version"] = version
+		if raw, err = json.Marshal(meta); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path+".meta", raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		db, err = Open(path, Options{})
+		if err == nil {
+			db.Close()
+			t.Fatalf("version %d catalog opened silently", version)
+		}
+		if !strings.Contains(err.Error(), "unsupported catalog version") {
+			t.Fatalf("version %d: err = %v, want unsupported catalog version", version, err)
+		}
+	}
+}
+
 func TestOpenFreshDatabaseHasNoCatalog(t *testing.T) {
 	db := openDB(t, Options{})
 	if len(db.Catalog().Tables()) != 0 || len(db.Catalog().Models()) != 0 {
@@ -709,13 +778,15 @@ func TestPredictCachedMatchesUncached(t *testing.T) {
 }
 
 func TestPredictPipelineDisabledBitIdentical(t *testing.T) {
-	piped := openDB(t, Options{InferBatch: 8})
-	loadFraud(t, piped, 40)
-	serial := openDB(t, Options{InferBatch: 8, DisablePredictPipeline: true})
-	loadFraud(t, serial, 40)
+	db := openDB(t, Options{InferBatch: 8})
+	loadFraud(t, db, 40)
 	q := "SELECT id, PREDICT(Fraud-FC-32, features) FROM txns"
-	a := mustExec(t, piped, q)
-	b := mustExec(t, serial, q)
+	a := mustExec(t, db, q)
+	drainComputeBudget(t)
+	b := mustExec(t, db, q)
+	if note := predictNote(t, db, q); note != "serial" {
+		t.Fatalf("predict note %q with the compute budget drained, want serial", note)
+	}
 	for i := range a.Rows {
 		if a.Rows[i][0].Int != b.Rows[i][0].Int {
 			t.Fatalf("row order diverged at %d", i)
@@ -777,24 +848,12 @@ func TestResultCacheRecreatedOnReopen(t *testing.T) {
 func TestExecProfiledPredictNote(t *testing.T) {
 	db := openDB(t, Options{InferBatch: 16, ResultCache: true, ResultCacheDistance: 1e-9})
 	loadFraud(t, db, 20)
-	_, stats, err := db.ExecProfiled("SELECT id, PREDICT(Fraud-FC-32, features) FROM txns")
-	if err != nil {
-		t.Fatal(err)
+	note := predictNote(t, db, "SELECT id, PREDICT(Fraud-FC-32, features) FROM txns")
+	if !strings.Contains(note, "cache") {
+		t.Fatalf("predict stage note %q missing cache counters", note)
 	}
-	found := false
-	for _, s := range stats {
-		if s.Name == "predict" {
-			found = true
-			if !strings.Contains(s.Note, "cache") {
-				t.Fatalf("predict stage note %q missing cache counters", s.Note)
-			}
-			if !strings.Contains(s.Note, "pipelined") {
-				t.Fatalf("predict stage note %q should report the pipelined mode that ran", s.Note)
-			}
-		}
-	}
-	if !found {
-		t.Fatal("no predict stage in profile")
+	if !strings.Contains(note, "pipelined") {
+		t.Fatalf("predict stage note %q should report the pipelined mode that ran", note)
 	}
 }
 

@@ -195,19 +195,7 @@ func (db *DB) ApplyReplicated(csn uint64, recs []*wal.Record, resync bool) error
 			if _, err := db.cat.Model(r.Model); err == nil {
 				continue // already registered (models are immutable once named)
 			}
-			if len(r.Data) == 0 {
-				return fmt.Errorf("engine: apply LOAD MODEL %q: record carries no manifest", r.Model)
-			}
-			mf, err := nn.DecodeManifest(r.Data)
-			if err != nil {
-				return fmt.Errorf("engine: apply LOAD MODEL %q: %w", r.Model, err)
-			}
-			am, err := nn.ModelFromManifest(mf, db.blocks)
-			if err != nil {
-				return fmt.Errorf("engine: apply LOAD MODEL %q: %w", r.Model, err)
-			}
-			if err := db.registerModel(am, r.Acc, mf); err != nil {
-				nn.ReleaseManifest(mf, db.blocks)
+			if err := db.installManifest(r.Data, r.Acc, nil); err != nil {
 				return fmt.Errorf("engine: apply LOAD MODEL %q: %w", r.Model, err)
 			}
 		case wal.RecDropModel:

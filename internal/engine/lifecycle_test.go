@@ -202,11 +202,12 @@ func TestInsertCancelled(t *testing.T) {
 
 // TestQueryPanicCountsAndDBSurvives exercises the query-level recover (above
 // the UDF layer) via a model registered directly against the UDF registry
-// boundary: a panicking layer reached through the serial (non-pipelined)
-// path still converts to an error.
+// boundary: a panicking layer reached through the serial path (no compute
+// token free, so no producer goroutine) still converts to an error.
 func TestQueryPanicSerialPath(t *testing.T) {
 	testutil.NoLeakedGoroutines(t)
-	db := openDB(t, Options{InferBatch: 16, DisablePredictPipeline: true})
+	drainComputeBudget(t)
+	db := openDB(t, Options{InferBatch: 16})
 	loadFraud(t, db, 30)
 	bad, err := nn.NewModel("boom2", []int{1, 28}, panicLayer{})
 	if err != nil {
@@ -224,5 +225,8 @@ func TestQueryPanicSerialPath(t *testing.T) {
 	res := mustExec(t, db, "SELECT id, PREDICT(Fraud-FC-32, features) FROM txns")
 	if len(res.Rows) != 30 {
 		t.Fatalf("healthy PREDICT rows = %d", len(res.Rows))
+	}
+	if note := predictNote(t, db, "SELECT id, PREDICT(Fraud-FC-32, features) FROM txns"); note != "serial" {
+		t.Fatalf("predict note %q, want serial", note)
 	}
 }

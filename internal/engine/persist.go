@@ -34,8 +34,7 @@ import (
 //  3. The meta file — carrying every model's manifest — is written via
 //     tmp + fsync + rename + parent-dir fsync; the rename is the commit
 //     point.
-//  4. Only after the commit are unreferenced block files (and any legacy
-//     pre-blockstore .models directory) deleted.
+//  4. Only after the commit are unreferenced block files deleted.
 //
 // Every step carries a fault point ("persist.*") so tests can kill the save
 // mid-way and assert the old-or-new invariant.
@@ -61,11 +60,9 @@ var PersistFaultPoints = []string{
 	fpBlocksDirSync, fpMetaWrite, fpMetaSync, fpMetaRename, fpMetaDirSync,
 }
 
-// metaFile is the serialised catalog. Version 3 stores models as block
-// manifests against the content-addressed <db>.blocks/ directory; version
-// 2 added the WAL checkpoint's recovery inputs; versions 1 and 2 (whole
-// TBM1 model files) are still read, their models interned into the block
-// store at open, and the next checkpoint rewrites them as v3.
+// metaFile is the serialised catalog: tables with the WAL checkpoint's
+// recovery inputs, and models as block manifests against the
+// content-addressed <db>.blocks/ directory. Only metaVersion is read.
 type metaFile struct {
 	Version int `json:"version"`
 	// Generation increments on every committed save.
@@ -106,20 +103,17 @@ type metaColumn struct {
 }
 
 type metaModel struct {
-	Name string `json:"name"`
-	// File is the legacy (v1/v2) whole-model TBM1 path; empty in v3.
-	File     string  `json:"file,omitempty"`
+	Name     string  `json:"name"`
 	Accuracy float64 `json:"accuracy"`
-	// Manifest is the model's TBMF manifest, base64-encoded (v3). The
-	// weight bytes live as block files under <db>.blocks/.
-	Manifest string `json:"manifest,omitempty"`
+	// Manifest is the model's TBMF manifest, base64-encoded. The weight
+	// bytes live as block files under <db>.blocks/.
+	Manifest string `json:"manifest"`
 }
 
-func (db *DB) metaPath() string { return db.path + ".meta" }
+// metaVersion is the only catalog format: block-manifest models (v3).
+const metaVersion = 3
 
-// modelsDir is the legacy pre-blockstore model directory; still read for
-// old catalogs, removed by the first committed checkpoint.
-func (db *DB) modelsDir() string { return db.path + ".models" }
+func (db *DB) metaPath() string { return db.path + ".meta" }
 
 // blocksDir holds one immutable file per distinct weight block, named by
 // the block's content hash.
@@ -185,7 +179,7 @@ func (db *DB) saveBlockDurable(h blockstore.Hash, data []float32) error {
 func (db *DB) saveCatalog() error {
 	newGen := db.gen + 1
 	meta := metaFile{
-		Version:    3,
+		Version:    metaVersion,
 		Generation: newGen,
 		CommitCSN:  db.committedCSN.Load(),
 		NumPages:   db.disk.NumPages(),
@@ -314,33 +308,30 @@ func (db *DB) saveCatalog() error {
 }
 
 // gcBlockFiles removes block files the just-committed meta no longer
-// references, tmp leftovers from interrupted saves, and the legacy
-// pre-blockstore .models directory (whose weight files the manifest form
-// fully supersedes — this is also what reclaims follower-staged model
-// files from old replication runs). Best-effort: a failure here leaves
-// garbage, never corruption.
+// references and tmp leftovers from interrupted saves. Best-effort: a
+// failure here leaves garbage, never corruption.
 func (db *DB) gcBlockFiles(referenced map[blockstore.Hash]bool) {
 	entries, err := os.ReadDir(db.blocksDir())
-	if err == nil {
-		for _, e := range entries {
-			name := e.Name()
-			if e.IsDir() {
-				continue
-			}
-			if strings.HasSuffix(name, ".tmp") {
-				os.Remove(filepath.Join(db.blocksDir(), name))
-				continue
-			}
-			h, perr := blockstore.ParseHash(strings.TrimSuffix(name, ".blk"))
-			if perr != nil || !referenced[h] {
-				os.Remove(filepath.Join(db.blocksDir(), name))
-				if perr == nil {
-					delete(db.persistedBlocks, h)
-				}
+	if err != nil {
+		return
+	}
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() {
+			continue
+		}
+		if strings.HasSuffix(name, ".tmp") {
+			os.Remove(filepath.Join(db.blocksDir(), name))
+			continue
+		}
+		h, perr := blockstore.ParseHash(strings.TrimSuffix(name, ".blk"))
+		if perr != nil || !referenced[h] {
+			os.Remove(filepath.Join(db.blocksDir(), name))
+			if perr == nil {
+				delete(db.persistedBlocks, h)
 			}
 		}
 	}
-	os.RemoveAll(db.modelsDir())
 }
 
 // stageBlockFile loads one block file into the store, verifying that its
@@ -361,29 +352,6 @@ func (db *DB) stageBlockFile(h blockstore.Hash) error {
 	return nil
 }
 
-// internModel registers a model by decomposing it into the block store —
-// the path for legacy whole-file models (old catalogs, old WAL records,
-// LoadModel). Models whose layers cannot be blocked register memory-
-// resident. The interned (block-backed) model is what serves.
-func (db *DB) internModel(m *nn.Model, accuracy float64) error {
-	mf, _, err := nn.BlockModel(m, db.blocks)
-	if err != nil {
-		db.blocks.Sweep()
-		return db.registerModel(m, accuracy, nil)
-	}
-	am, err := nn.ModelFromManifest(mf, db.blocks)
-	if err != nil {
-		db.blocks.Sweep()
-		return err
-	}
-	if err := db.registerModel(am, accuracy, mf); err != nil {
-		nn.ReleaseManifest(mf, db.blocks)
-		db.blocks.Sweep()
-		return err
-	}
-	return nil
-}
-
 // loadCatalog restores tables and models from a previous Close. A missing
 // meta file is a fresh database, not an error.
 func (db *DB) loadCatalog() error {
@@ -398,27 +366,17 @@ func (db *DB) loadCatalog() error {
 	if err := json.Unmarshal(raw, &meta); err != nil {
 		return fmt.Errorf("engine: corrupt catalog %s: %w", db.metaPath(), err)
 	}
-	if meta.Version < 1 || meta.Version > 3 {
+	if meta.Version != metaVersion {
 		return fmt.Errorf("engine: unsupported catalog version %d", meta.Version)
 	}
 	db.gen = meta.Generation
-	if meta.Version >= 2 {
-		info := &checkpointInfo{
-			CommitCSN: meta.CommitCSN,
-			NumPages:  meta.NumPages,
-			LastSlots: make(map[string]int, len(meta.Tables)),
-			Pages:     make(map[string][]storage.PageID, len(meta.Tables)),
-		}
-		for _, mt := range meta.Tables {
-			info.LastSlots[mt.Name] = mt.LastSlots
-			pages := make([]storage.PageID, len(mt.Pages))
-			for i, id := range mt.Pages {
-				pages[i] = storage.PageID(id)
-			}
-			info.Pages[mt.Name] = pages
-		}
-		db.ckptInfo = info
+	info := &checkpointInfo{
+		CommitCSN: meta.CommitCSN,
+		NumPages:  meta.NumPages,
+		LastSlots: make(map[string]int, len(meta.Tables)),
+		Pages:     make(map[string][]storage.PageID, len(meta.Tables)),
 	}
+	db.ckptInfo = info
 	if len(meta.FreePages) > 0 {
 		free := make([]storage.PageID, len(meta.FreePages))
 		for i, id := range meta.FreePages {
@@ -444,35 +402,22 @@ func (db *DB) loadCatalog() error {
 		if err := db.cat.CreateTable(mt.Name, heap); err != nil {
 			return err
 		}
+		info.LastSlots[mt.Name] = mt.LastSlots
+		pages := make([]storage.PageID, len(mt.Pages))
+		for i, id := range mt.Pages {
+			pages[i] = storage.PageID(id)
+		}
+		info.Pages[mt.Name] = pages
 	}
 	for _, mm := range meta.Models {
-		if mm.Manifest != "" {
-			if err := db.loadManifestModel(mm); err != nil {
-				return err
-			}
-			continue
-		}
-		// Legacy v1/v2 whole-file model: load and intern into the block
-		// store. Its blocks have no files yet (persistedBlocks stays
-		// unset), so the next checkpoint writes them and removes the old
-		// .models directory.
-		f, err := os.Open(mm.File)
-		if err != nil {
-			return fmt.Errorf("engine: restoring model %s: %w", mm.Name, err)
-		}
-		m, err := nn.Load(f)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("engine: restoring model %s: %w", mm.Name, err)
-		}
-		if err := db.internModel(m, mm.Accuracy); err != nil {
-			return fmt.Errorf("engine: restoring model %s: %w", mm.Name, err)
+		if err := db.loadManifestModel(mm); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// loadManifestModel restores one v3 model: decode its manifest, stage any
+// loadManifestModel restores one model: decode its manifest, stage any
 // block files not already resident (verifying content hashes), and
 // assemble the serving model against the shared store.
 func (db *DB) loadManifestModel(mm metaModel) error {
@@ -480,23 +425,47 @@ func (db *DB) loadManifestModel(mm metaModel) error {
 	if err != nil {
 		return fmt.Errorf("engine: restoring model %s: manifest: %w", mm.Name, err)
 	}
-	mf, err := nn.DecodeManifest(raw)
+	err = db.installManifest(raw, mm.Accuracy, func(mf *nn.Manifest) error {
+		for _, h := range mf.Hashes() {
+			if !db.blocks.Has(h) {
+				if err := db.stageBlockFile(h); err != nil {
+					return err
+				}
+			}
+			db.persistedBlocks[h] = true
+		}
+		return nil
+	})
 	if err != nil {
 		return fmt.Errorf("engine: restoring model %s: %w", mm.Name, err)
 	}
-	for _, h := range mf.Hashes() {
-		if !db.blocks.Has(h) {
-			if err := db.stageBlockFile(h); err != nil {
-				return fmt.Errorf("engine: restoring model %s: %w", mm.Name, err)
-			}
+	return nil
+}
+
+// installManifest brings back a durable model from its encoded manifest:
+// decode, assemble against the block store, register — the one path
+// checkpoint restore, WAL replay and replicated apply share. stage, when
+// non-nil, runs on the decoded manifest before assembly so the caller can
+// make its blocks resident. If registration fails the manifest's block
+// references are released.
+func (db *DB) installManifest(raw []byte, accuracy float64, stage func(*nn.Manifest) error) error {
+	if len(raw) == 0 {
+		return fmt.Errorf("engine: model carries no manifest")
+	}
+	mf, err := nn.DecodeManifest(raw)
+	if err != nil {
+		return err
+	}
+	if stage != nil {
+		if err := stage(mf); err != nil {
+			return err
 		}
-		db.persistedBlocks[h] = true
 	}
 	am, err := nn.ModelFromManifest(mf, db.blocks)
 	if err != nil {
-		return fmt.Errorf("engine: restoring model %s: %w", mm.Name, err)
+		return err
 	}
-	if err := db.registerModel(am, mm.Accuracy, mf); err != nil {
+	if err := db.registerModel(am, accuracy, mf); err != nil {
 		nn.ReleaseManifest(mf, db.blocks)
 		return err
 	}

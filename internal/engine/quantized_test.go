@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -56,20 +57,24 @@ func argmax32(v []float32) int {
 // and cached/coalesced executions must produce bit-identical predictions.
 func TestPredictQuantizedBitIdenticalAcrossModes(t *testing.T) {
 	const q = "SELECT id, PREDICT(Fraud-FC-32, features) OPTIONS (quantized) FROM txns"
-	run := func(opts Options) [][]float32 {
+	run := func(opts Options, wantMode string) [][]float32 {
 		opts.InferBatch = 16
 		db := openDB(t, opts)
 		loadFraud(t, db, 150)
 		res := mustExec(t, db, q)
+		if note := predictNote(t, db, q); !strings.HasPrefix(note, wantMode) {
+			t.Fatalf("predict note %q, want mode %s", note, wantMode)
+		}
 		out := make([][]float32, len(res.Rows))
 		for i, r := range res.Rows {
 			out[i] = r[1].Vec
 		}
 		return out
 	}
-	serial := run(Options{DisablePredictPipeline: true, DisablePredictCoalesce: true})
-	pipelined := run(Options{DisablePredictCoalesce: true})
-	coalesced := run(Options{ResultCache: true})
+	pipelined := run(Options{}, "pipelined")
+	coalesced := run(Options{ResultCache: true}, "pipelined")
+	drainComputeBudget(t)
+	serial := run(Options{}, "serial")
 	for name, got := range map[string][][]float32{"pipelined": pipelined, "cached+coalesced": coalesced} {
 		if len(got) != len(serial) {
 			t.Fatalf("%s: %d rows vs %d", name, len(got), len(serial))

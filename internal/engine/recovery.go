@@ -2,9 +2,7 @@ package engine
 
 import (
 	"fmt"
-	"os"
 
-	"tensorbase/internal/nn"
 	"tensorbase/internal/storage"
 	"tensorbase/internal/table"
 	"tensorbase/internal/wal"
@@ -22,10 +20,8 @@ import (
 // and then the committed suffix of the log is replayed onto the clean base.
 // Recovery ends with a checkpoint, so the log is consumed exactly once.
 
-// checkpointInfo carries a checkpoint's recovery inputs from loadCatalog
-// (meta v2) to recover. Nil on a fresh database; a v1 meta (pre-WAL) also
-// yields nil and is upgraded by the open-time checkpoint before any write
-// can enter the log.
+// checkpointInfo carries a checkpoint's recovery inputs from loadCatalog to
+// recover. Nil on a fresh database.
 type checkpointInfo struct {
 	// CommitCSN is the committed horizon the checkpoint captured; commit
 	// records at or below it are already folded into the base state.
@@ -52,25 +48,15 @@ func (db *DB) recover() error {
 	}
 	db.nextCSN = base
 	db.committedCSN.Store(base)
-	replayed := false
-	if db.wal.Size() > 0 {
-		if db.ckptInfo == nil && db.gen > 0 {
-			return fmt.Errorf("engine: WAL is non-empty but the catalog carries no recovery inputs")
-		}
-		if err := db.replayWAL(); err != nil {
-			return err
-		}
-		replayed = true
+	// An empty log needs no checkpoint: the loaded catalog (or, on a fresh
+	// database, the empty state) IS the base.
+	if db.wal.Size() == 0 {
+		return nil
 	}
-	// Leave a v2 checkpoint behind whenever the log held anything, or the
-	// base is a committed v1 (pre-WAL) meta that must be upgraded before a
-	// write can enter the log — after this, a non-empty log always
-	// coexists with a meta that can replay it. A fresh database needs
-	// neither: an empty checkpoint IS its base state.
-	if replayed || (db.ckptInfo == nil && db.gen > 0) {
-		return db.Checkpoint()
+	if err := db.replayWAL(); err != nil {
+		return err
 	}
-	return nil
+	return db.Checkpoint()
 }
 
 // replayWAL discards post-checkpoint physical state and applies the
@@ -210,33 +196,7 @@ func (db *DB) replayWAL() error {
 				return fmt.Errorf("engine: replaying weight block: %w", err)
 			}
 		case wal.RecLoadModel:
-			if len(r.Data) > 0 {
-				mf, err := nn.DecodeManifest(r.Data)
-				if err != nil {
-					return fmt.Errorf("engine: replaying LOAD MODEL %q: %w", r.Model, err)
-				}
-				am, err := nn.ModelFromManifest(mf, db.blocks)
-				if err != nil {
-					return fmt.Errorf("engine: replaying LOAD MODEL %q: %w", r.Model, err)
-				}
-				if err := db.registerModel(am, r.Acc, mf); err != nil {
-					nn.ReleaseManifest(mf, db.blocks)
-					return fmt.Errorf("engine: replaying LOAD MODEL %q: %w", r.Model, err)
-				}
-				return nil
-			}
-			// Legacy record: a whole-model file path. Intern it into the
-			// block store like loadCatalog does for old catalogs.
-			f, err := os.Open(r.File)
-			if err != nil {
-				return fmt.Errorf("engine: replaying LOAD MODEL %q: %w", r.Model, err)
-			}
-			m, lerr := nn.Load(f)
-			f.Close()
-			if lerr != nil {
-				return fmt.Errorf("engine: replaying LOAD MODEL %q: %w", r.Model, lerr)
-			}
-			if err := db.internModel(m, r.Acc); err != nil {
+			if err := db.installManifest(r.Data, r.Acc, nil); err != nil {
 				return fmt.Errorf("engine: replaying LOAD MODEL %q: %w", r.Model, err)
 			}
 		case wal.RecDropModel:

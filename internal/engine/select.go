@@ -162,12 +162,9 @@ func (db *DB) runSelect(st *sql.Select, profile bool, tok *lifecycle.Token) (*Re
 		if quantized {
 			db.mPredictQuantized.Inc()
 		}
-		iopts := []udf.InferOption{udf.WithStats(&db.inferStats), udf.WithCancel(tok)}
-		if !db.opts.DisablePredictPipeline {
-			// Producer draws a worker token from the process-wide compute
-			// budget; with none free the operator runs serially.
-			iopts = append(iopts, udf.WithPipeline(nil))
-		}
+		// The producer draws a worker token from the process-wide compute
+		// budget; with none free the operator runs serially.
+		iopts := []udf.InferOption{udf.WithStats(&db.inferStats), udf.WithCancel(tok), udf.WithPipeline(nil)}
 		if rc, ok := db.ResultCacheFor(cacheKey); ok {
 			iopts = append(iopts, udf.WithCache(rc))
 		}

@@ -163,7 +163,7 @@ func init() {
 func Default() *Budget { return defaultBudget.Load() }
 
 // SetDefault installs b as the process-wide budget and returns the previous
-// one so callers (the resource governor, tests) can restore it.
+// one so callers (tests) can restore it.
 func SetDefault(b *Budget) *Budget {
 	if b == nil {
 		b = NewBudget(0)

@@ -202,19 +202,11 @@ func TestModelShipsInLiveGroup(t *testing.T) {
 // files that nothing ever deleted. Weights now ride the stream as WAL
 // block records, so after shipping several models and checkpointing, the
 // replica's directory must hold only content-addressed block files — no
-// .tbm staging files, and any legacy .models directory (the old leak's
-// home) is removed by the first committed checkpoint.
+// .tbm staging files.
 func TestReplicaModelFilesDoNotLeak(t *testing.T) {
 	db, p := newPrimary(t, PrimaryOptions{})
 	dir := t.TempDir()
 	rpath := filepath.Join(dir, "r.db")
-	// Seed a legacy leak: a pre-upgrade staging directory with orphans.
-	if err := os.MkdirAll(rpath+".models", 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(rpath+".models", "repl-00000007-001.tbm"), []byte("orphan"), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	r := newReplica(t, rpath, p, nil)
 
 	d := data.Fraud(1, 64)
@@ -240,9 +232,6 @@ func TestReplicaModelFilesDoNotLeak(t *testing.T) {
 
 	if err := r.DB().Checkpoint(); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := os.Stat(rpath + ".models"); !os.IsNotExist(err) {
-		t.Fatalf("legacy staging dir survives a committed checkpoint (stat err: %v)", err)
 	}
 	var leaked []string
 	if err := filepath.WalkDir(dir, func(path string, de fs.DirEntry, err error) error {

@@ -14,10 +14,8 @@ import (
 // dominates for the small models this engine serves.
 const matmulParallelThreshold = 1 << 18
 
-// maxWorkers caps kernel parallelism when set (> 0). The resource governor
-// uses it to coordinate kernel threads with the engine's own workers — the
-// Sec. 3 problem of RDBMS threads and BLAS/OpenMP threads fighting for the
-// same cores.
+// maxWorkers caps kernel parallelism when set (> 0); tests use it to pin a
+// kernel's fan-out.
 var maxWorkers atomic.Int32
 
 // Process-wide kernel counters, exported through the engine's metrics

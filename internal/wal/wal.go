@@ -58,9 +58,8 @@ const (
 	// RecDropTable records a table drop.
 	RecDropTable RecType = 4
 	// RecLoadModel records a model registration. Data carries the model's
-	// block manifest (TBMF); the weight blocks themselves ride as RecBlock
-	// records in the same commit group (File is the legacy pre-blockstore
-	// weight-file path, kept for old logs).
+	// block manifest (TBMF), which is required; the weight blocks themselves
+	// ride as RecBlock records in the same commit group.
 	RecLoadModel RecType = 5
 	// RecBlock carries one content-addressed weight block's raw payload
 	// (little-endian f32 bytes, at most 64 KiB). Blocks are staged into
@@ -87,7 +86,6 @@ type Record struct {
 	Data  []byte // Insert: tuple payload; LoadModel: manifest; Block: payload
 	Cols  []Col  // CreateTable
 	Model string // LoadModel, DropModel
-	File  string // LoadModel: legacy model weight file path
 	Acc   float64
 }
 
@@ -496,7 +494,7 @@ func readString(b []byte) (string, []byte, error) {
 }
 
 func encodeRecord(r *Record) []byte {
-	b := make([]byte, 0, 16+len(r.Table)+len(r.Data)+len(r.Model)+len(r.File))
+	b := make([]byte, 0, 16+len(r.Table)+len(r.Data)+len(r.Model))
 	b = append(b, byte(r.Type))
 	b = binary.LittleEndian.AppendUint64(b, r.CSN)
 	switch r.Type {
@@ -516,7 +514,6 @@ func encodeRecord(r *Record) []byte {
 		b = appendString(b, r.Table)
 	case RecLoadModel:
 		b = appendString(b, r.Model)
-		b = appendString(b, r.File)
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(r.Acc))
 		b = binary.AppendUvarint(b, uint64(len(r.Data)))
 		b = append(b, r.Data...)
@@ -576,26 +573,17 @@ func decodeRecord(b []byte) (*Record, error) {
 		if r.Model, b, err = readString(b); err != nil {
 			return nil, err
 		}
-		if r.File, b, err = readString(b); err != nil {
-			return nil, err
-		}
 		if len(b) < 8 {
 			return nil, fmt.Errorf("wal: truncated model record")
 		}
 		r.Acc = math.Float64frombits(binary.LittleEndian.Uint64(b))
 		b = b[8:]
-		// The trailing manifest is absent in records from pre-blockstore
-		// logs; tolerate both forms.
-		if len(b) > 0 {
-			n, sz := binary.Uvarint(b)
-			if sz <= 0 || uint64(len(b)-sz) < n {
-				return nil, fmt.Errorf("wal: truncated model manifest")
-			}
-			if n > 0 {
-				r.Data = append([]byte(nil), b[sz:sz+int(n)]...)
-			}
-			b = b[sz+int(n):]
+		n, sz := binary.Uvarint(b)
+		if sz <= 0 || n == 0 || uint64(len(b)-sz) < n {
+			return nil, fmt.Errorf("wal: model record without a manifest")
 		}
+		r.Data = append([]byte(nil), b[sz:sz+int(n)]...)
+		b = b[sz+int(n):]
 	case RecBlock:
 		n, sz := binary.Uvarint(b)
 		if sz <= 0 || n == 0 || n > 1<<17 || uint64(len(b)-sz) < n {

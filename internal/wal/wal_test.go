@@ -42,8 +42,6 @@ func TestRoundTripAllRecordTypes(t *testing.T) {
 		{Type: RecInsert, CSN: 2, Table: "t", Data: []byte{1, 2, 3, 4, 5}},
 		{Type: RecInsert, CSN: 2, Table: "t", Data: nil},
 		{Type: RecCommit, CSN: 2},
-		{Type: RecLoadModel, CSN: 3, Model: "Fraud-FC-32", File: "db.models/g000001-m0000.tbm", Acc: 0.97},
-		{Type: RecCommit, CSN: 3},
 		{Type: RecDropTable, CSN: 4, Table: "t"},
 		{Type: RecCommit, CSN: 4},
 		{Type: RecBlock, CSN: 5, Data: []byte{0, 0, 128, 63, 0, 0, 0, 64}},
@@ -76,7 +74,7 @@ func TestRoundTripAllRecordTypes(t *testing.T) {
 	}
 	for i, r := range recs {
 		g := got[i]
-		if g.Type != r.Type || g.CSN != r.CSN || g.Table != r.Table || g.Model != r.Model || g.File != r.File || g.Acc != r.Acc {
+		if g.Type != r.Type || g.CSN != r.CSN || g.Table != r.Table || g.Model != r.Model || g.Acc != r.Acc {
 			t.Fatalf("record %d: got %+v want %+v", i, g, r)
 		}
 		if string(g.Data) != string(r.Data) {
@@ -90,6 +88,20 @@ func TestRoundTripAllRecordTypes(t *testing.T) {
 				t.Fatalf("record %d col %d: got %+v want %+v", i, j, g.Cols[j], r.Cols[j])
 			}
 		}
+	}
+}
+
+// A model record must carry its block manifest: one without (the shape of
+// a pre-blockstore whole-file record) is refused at decode, never replayed
+// as a model nothing can assemble.
+func TestDecodeRejectsLoadModelWithoutManifest(t *testing.T) {
+	raw := EncodeRecord(&Record{Type: RecLoadModel, CSN: 3, Model: "Fraud-FC-32", Acc: 0.97})
+	if r, err := DecodeRecord(raw); err == nil {
+		t.Fatalf("DecodeRecord accepted a manifest-less LOAD MODEL: %+v", r)
+	}
+	ok := EncodeRecord(&Record{Type: RecLoadModel, CSN: 3, Model: "Fraud-FC-32", Acc: 0.97, Data: []byte("TBMF")})
+	if _, err := DecodeRecord(ok); err != nil {
+		t.Fatalf("manifest-bearing LOAD MODEL: %v", err)
 	}
 }
 

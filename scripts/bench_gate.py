@@ -1,7 +1,6 @@
 #!/usr/bin/env python3
-"""Parse `go test -bench` output into a benchmark JSON artifact, gate the
-serving-path benchmarks, and report the trajectory against the latest
-prior BENCH_<n>.json committed to the repo.
+"""Parse `go test -bench` output into a benchmark JSON artifact and gate
+the serving-path benchmarks.
 
 Usage: bench_gate.py <bench-output.txt> <out.json>
 
@@ -23,15 +22,8 @@ for inspection):
              <= 0.30 — one extra fine-tuned variant may cost at most 30%
              of a full model's resident bytes, or the block store is not
              actually deduplicating.
-
-Trajectory: the artifact also records per-benchmark deltas against the
-newest prior BENCH_<n>.json found next to <out.json>. Deltas are
-informational (shared runners drift too much for a hard cross-run gate);
-the explicit gates above are the contract.
 """
-import glob
 import json
-import os
 import re
 import sys
 
@@ -114,43 +106,6 @@ def dedup_gate(runs):
     }
 
 
-def latest_baseline(out_path):
-    """Newest prior BENCH_<n>.json in out.json's directory, skipping the
-    artifact being written."""
-    out_dir = os.path.dirname(os.path.abspath(out_path)) or "."
-    best_n, best_path = -1, None
-    for path in glob.glob(os.path.join(out_dir, "BENCH_*.json")):
-        if os.path.abspath(path) == os.path.abspath(out_path):
-            continue
-        m = re.match(r"BENCH_(\d+)\.json$", os.path.basename(path))
-        if m and int(m.group(1)) > best_n:
-            best_n, best_path = int(m.group(1)), path
-    return best_path
-
-
-def trajectory(runs, out_path):
-    base_path = latest_baseline(out_path)
-    if base_path is None:
-        return None
-    try:
-        with open(base_path) as f:
-            base = json.load(f).get("benchmarks", {})
-    except (OSError, ValueError) as e:
-        return {"baseline": os.path.basename(base_path), "error": str(e)}
-    deltas = {}
-    for name, entry in sorted(runs.items()):
-        prev = base.get(name)
-        if not prev or "best_ns_per_op" not in prev:
-            continue
-        deltas[name] = {
-            "prev_best_ns_per_op": prev["best_ns_per_op"],
-            "best_ns_per_op": entry["best_ns_per_op"],
-            # >1 means this run is faster than the baseline.
-            "speedup_vs_prev": prev["best_ns_per_op"] / entry["best_ns_per_op"],
-        }
-    return {"baseline": os.path.basename(base_path), "deltas": deltas}
-
-
 def main():
     if len(sys.argv) != 3:
         sys.exit(f"usage: {sys.argv[0]} <bench-output.txt> <out.json>")
@@ -159,7 +114,6 @@ def main():
     qgate = quantized_gate(runs)
     sgate = snapshot_gate(runs)
     dgate = dedup_gate(runs)
-    traj = trajectory(runs, dst)
 
     with open(dst, "w") as f:
         json.dump(
@@ -168,18 +122,10 @@ def main():
                 "quantized_gate": qgate,
                 "snapshot_gate": sgate,
                 "dedup_gate": dgate,
-                "trajectory": traj,
             },
             f, indent=2, sort_keys=True,
         )
         f.write("\n")
-
-    if traj and "deltas" in traj:
-        print(f"bench_gate: trajectory vs {traj['baseline']}:")
-        for name, d in traj["deltas"].items():
-            print("  %-55s %8.0f -> %8.0f ns/op (%.2fx)"
-                  % (name, d["prev_best_ns_per_op"], d["best_ns_per_op"],
-                     d["speedup_vs_prev"]))
 
     failures = []
     if qgate is None:
