@@ -1,9 +1,7 @@
 package repl
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -12,6 +10,7 @@ import (
 	"tensorbase/internal/engine"
 	"tensorbase/internal/fault"
 	"tensorbase/internal/wal"
+	"tensorbase/internal/wire"
 )
 
 // PrimaryOptions configures the shipping side.
@@ -182,9 +181,10 @@ func (p *Primary) Close() {
 
 // serve runs one replica stream: hello, catch-up from the replica's
 // applied CSN (or a snapshot resync if the ring evicted it), then the live
-// tail with heartbeats while idle.
+// tail with heartbeats while idle. link faults every outgoing frame.
 func (p *Primary) serve(conn net.Conn, link *fault.Link) error {
-	payload, err := readFrame(conn)
+	fc := wire.NewFrameConn(conn, link)
+	payload, err := fc.Recv()
 	if err != nil {
 		return err
 	}
@@ -192,22 +192,19 @@ func (p *Primary) serve(conn net.Conn, link *fault.Link) error {
 	if err != nil {
 		return err
 	}
-	s := &faultySender{conn: conn, link: link}
-	var seq uint64
 	hb := time.NewTicker(p.opts.HeartbeatInterval)
 	defer hb.Stop()
 	for {
 		recs, gap, ok := p.ring.TryNext(pos + 1)
 		switch {
 		case gap:
-			csn, err := p.sendResync(s, conn, &seq)
+			csn, err := p.sendResync(fc, conn)
 			if err != nil {
 				return err
 			}
 			pos = csn
 		case ok:
-			seq++
-			if err := p.sendGroup(s, seq, pos+1, recs); err != nil {
+			if err := fc.Send(encodeGroup(&groupMsg{CSN: pos + 1, Recs: recs})); err != nil {
 				return err
 			}
 			pos = pos + 1
@@ -218,18 +215,13 @@ func (p *Primary) serve(conn net.Conn, link *fault.Link) error {
 			select {
 			case <-p.ring.Pulse():
 			case <-hb.C:
-				seq++
 				p.heartbeats.Add(1)
-				if err := s.send(encodeHeartbeat(seq, p.db.CommittedCSN())); err != nil {
+				if err := fc.Send(encodeHeartbeat(p.db.CommittedCSN())); err != nil {
 					return err
 				}
 			}
 		}
 	}
-}
-
-func (p *Primary) sendGroup(s *faultySender, seq, csn uint64, recs [][]byte) error {
-	return s.send(encodeGroup(&groupMsg{Seq: seq, CSN: csn, Recs: recs}))
 }
 
 // sendResync runs the snapshot handshake: ship the records and model
@@ -238,13 +230,12 @@ func (p *Primary) sendGroup(s *faultySender, seq, csn uint64, recs [][]byte) err
 // the fault injector, the replica gone, a block swept between snapshot and
 // fetch — surfaces as a stream error here, and the replica's reconnect
 // path converges on a fresh hello.
-func (p *Primary) sendResync(s *faultySender, conn net.Conn, seq *uint64) (uint64, error) {
+func (p *Primary) sendResync(fc *wire.FrameConn, conn net.Conn) (uint64, error) {
 	csn, recs, models, err := p.db.ReplicaSnapshot()
 	if err != nil {
 		return 0, err
 	}
-	*seq++
-	m := &resyncMsg{Seq: *seq, CSN: csn, Recs: make([][]byte, len(recs))}
+	m := &resyncMsg{CSN: csn, Recs: make([][]byte, len(recs))}
 	for i, r := range recs {
 		m.Recs[i] = wal.EncodeRecord(r)
 	}
@@ -252,14 +243,14 @@ func (p *Primary) sendResync(s *faultySender, conn net.Conn, seq *uint64) (uint6
 		m.Models = append(m.Models, modelManifest{Name: mb.Name, Acc: mb.Acc, Manifest: mb.Manifest})
 	}
 	p.resyncs.Add(1)
-	if err := s.send(encodeResync(m)); err != nil {
+	if err := fc.Send(encodeResync(m)); err != nil {
 		return 0, err
 	}
 	// The replica always answers, even with an empty request; the deadline
 	// guards against one that died mid-handshake (its conn close also
 	// unblocks this read immediately).
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	payload, err := readFrame(conn)
+	payload, err := fc.Recv()
 	conn.SetReadDeadline(time.Time{})
 	if err != nil {
 		return 0, err
@@ -268,8 +259,7 @@ func (p *Primary) sendResync(s *faultySender, conn net.Conn, seq *uint64) (uint6
 	if err != nil {
 		return 0, err
 	}
-	*seq++
-	reply := &blocksMsg{Seq: *seq, Hashes: hashes, Data: make([][]byte, len(hashes))}
+	reply := &blocksMsg{Hashes: hashes, Data: make([][]byte, len(hashes))}
 	for i, h := range hashes {
 		data, ok := p.db.BlockPayload(h)
 		if !ok {
@@ -277,51 +267,5 @@ func (p *Primary) sendResync(s *faultySender, conn net.Conn, seq *uint64) (uint6
 		}
 		reply.Data[i] = data
 	}
-	return csn, s.send(encodeBlocks(reply))
-}
-
-// faultySender frames and writes messages, routing each frame through the
-// connection's fault.Link: drops are silent (the replica sees the seq gap
-// and resets), a held frame is released after the next one (a one-slot
-// reorder), duplicates are written twice, delays sleep in-line.
-type faultySender struct {
-	conn net.Conn
-	link *fault.Link
-	held []byte
-}
-
-func (s *faultySender) send(payload []byte) error {
-	frame := make([]byte, 0, 8+len(payload))
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
-	frame = append(frame, payload...)
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, castagnoli))
-
-	v := s.link.Next()
-	if v.Delay > 0 {
-		time.Sleep(v.Delay)
-	}
-	switch {
-	case v.Drop:
-		return nil
-	case v.Hold && s.held == nil:
-		s.held = frame
-		return nil
-	}
-	if _, err := s.conn.Write(frame); err != nil {
-		return err
-	}
-	if v.Dup {
-		if _, err := s.conn.Write(frame); err != nil {
-			return err
-		}
-	}
-	if s.held != nil {
-		held := s.held
-		s.held = nil
-		if _, err := s.conn.Write(held); err != nil {
-			return err
-		}
-		s.link.Released()
-	}
-	return nil
+	return csn, fc.Send(encodeBlocks(reply))
 }

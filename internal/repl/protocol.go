@@ -2,26 +2,25 @@ package repl
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"math"
 
 	"tensorbase/internal/blockstore"
+	"tensorbase/internal/wire"
 )
 
-// Wire protocol. Every message travels as one CRC-framed blob, the same
-// framing the WAL and the connector batch format use:
+// Wire protocol. Every message travels as one wire.FrameConn frame, one
+// FrameConn per endpoint:
 //
-//	u32 len | payload | u32 CRC32-C(payload)
+//	u32 len | u64 seq | payload | u32 CRC32-C(seq|payload)
 //
-// payload: u8 msgType | type-specific fields. Primary→replica messages
-// carry a sequence number as their first field; the replica accepts only
-// seq == last+1 — a duplicate (seq ≤ last) is discarded, a gap or reorder
-// resets the stream and the replica reconnects with its applied CSN. The
-// replica→primary direction has two messages: the hello, and the
-// block-request that answers a resync.
+// payload: u8 msgType | type-specific fields. The framer owns the
+// sequence discipline in both directions: a duplicate (seq ≤ last) is
+// discarded, a gap, reorder or CRC failure surfaces wire.ErrStreamBroken,
+// and the replica resets the stream and reconnects with its applied CSN.
+// Every decoder below wraps the same sentinel. The replica→primary
+// direction has two messages: the hello, and the block-request that
+// answers a resync.
 //
 // A group message carries one published commit verbatim: the CSN and its
 // encoded WAL records. Model weights need no side channel — a LOAD MODEL
@@ -41,67 +40,12 @@ import (
 
 const (
 	msgHello     byte = 1 // replica → primary: u64 appliedCSN
-	msgGroup     byte = 2 // u64 seq | u64 csn | encoded WAL records
-	msgHeartbeat byte = 3 // u64 seq | u64 committedCSN
-	msgResync    byte = 4 // u64 seq | u64 snapCSN | recs | model manifests
+	msgGroup     byte = 2 // u64 csn | encoded WAL records
+	msgHeartbeat byte = 3 // u64 committedCSN
+	msgResync    byte = 4 // u64 snapCSN | recs | model manifests
 	msgBlockReq  byte = 5 // replica → primary: requested block hashes
-	msgBlocks    byte = 6 // u64 seq | (hash, payload) pairs
+	msgBlocks    byte = 6 // (hash, payload) pairs
 )
-
-// maxFrame bounds one message: a resync carries a whole database snapshot
-// in one frame, so the cap is generous; anything larger in a length field
-// is damage or a protocol break.
-const maxFrame = 64 << 20
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// errStreamBroken is the replica's "reset and reconnect" signal: CRC
-// failure, sequence gap, reorder, unknown message, or a short read.
-var errStreamBroken = errors.New("repl: stream broken")
-
-// writeFrame frames payload and writes it in one Write call (net.Pipe and
-// TCP both deliver it atomically enough for the reader's io.ReadFull).
-func writeFrame(w io.Writer, payload []byte) error {
-	frame := make([]byte, 0, 8+len(payload))
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
-	frame = append(frame, payload...)
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, castagnoli))
-	_, err := w.Write(frame)
-	return err
-}
-
-// readFrame reads one frame and returns its CRC-verified payload.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n == 0 || n > maxFrame {
-		return nil, fmt.Errorf("%w: frame length %d", errStreamBroken, n)
-	}
-	body := make([]byte, n+4)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
-	}
-	if crc32.Checksum(body[:n], castagnoli) != binary.LittleEndian.Uint32(body[n:]) {
-		return nil, fmt.Errorf("%w: frame CRC mismatch", errStreamBroken)
-	}
-	return body[:n], nil
-}
-
-func appendBytes(b, data []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(len(data)))
-	return append(b, data...)
-}
-
-func readBytes(b []byte) ([]byte, []byte, error) {
-	n, sz := binary.Uvarint(b)
-	if sz <= 0 || uint64(len(b)-sz) < n {
-		return nil, nil, fmt.Errorf("%w: truncated field", errStreamBroken)
-	}
-	return b[sz : sz+int(n)], b[sz+int(n):], nil
-}
 
 // modelManifest is one model riding a resync message: identity plus the
 // encoded block manifest. Weight bytes travel separately, on demand, in the
@@ -115,38 +59,33 @@ type modelManifest struct {
 // groupMsg is one shipped commit group: the published WAL records,
 // verbatim.
 type groupMsg struct {
-	Seq  uint64
 	CSN  uint64
 	Recs [][]byte
 }
 
 func encodeGroup(g *groupMsg) []byte {
 	b := []byte{msgGroup}
-	b = binary.LittleEndian.AppendUint64(b, g.Seq)
 	b = binary.LittleEndian.AppendUint64(b, g.CSN)
 	b = binary.AppendUvarint(b, uint64(len(g.Recs)))
 	for _, rec := range g.Recs {
-		b = appendBytes(b, rec)
+		b = wire.AppendBytes(b, rec)
 	}
 	return b
 }
 
 func decodeGroup(b []byte) (*groupMsg, error) {
-	if len(b) < 17 {
-		return nil, fmt.Errorf("%w: short group", errStreamBroken)
+	if len(b) < 9 {
+		return nil, fmt.Errorf("%w: short group", wire.ErrStreamBroken)
 	}
-	g := &groupMsg{
-		Seq: binary.LittleEndian.Uint64(b[1:9]),
-		CSN: binary.LittleEndian.Uint64(b[9:17]),
-	}
-	b = b[17:]
+	g := &groupMsg{CSN: binary.LittleEndian.Uint64(b[1:9])}
+	b = b[9:]
 	n, sz := binary.Uvarint(b)
 	if sz <= 0 || n > 1<<24 {
-		return nil, fmt.Errorf("%w: bad group record count", errStreamBroken)
+		return nil, fmt.Errorf("%w: bad group record count", wire.ErrStreamBroken)
 	}
 	b = b[sz:]
 	for i := uint64(0); i < n; i++ {
-		rec, rest, err := readBytes(b)
+		rec, rest, err := wire.ReadBytes(b)
 		if err != nil {
 			return nil, err
 		}
@@ -154,7 +93,7 @@ func decodeGroup(b []byte) (*groupMsg, error) {
 		g.Recs = append(g.Recs, rec)
 	}
 	if len(b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing group bytes", errStreamBroken, len(b))
+		return nil, fmt.Errorf("%w: %d trailing group bytes", wire.ErrStreamBroken, len(b))
 	}
 	return g, nil
 }
@@ -162,7 +101,6 @@ func decodeGroup(b []byte) (*groupMsg, error) {
 // resyncMsg is a whole snapshot: recs create and fill every table; models
 // arrive as manifests whose missing blocks the replica then requests.
 type resyncMsg struct {
-	Seq    uint64
 	CSN    uint64
 	Recs   [][]byte
 	Models []modelManifest
@@ -170,37 +108,33 @@ type resyncMsg struct {
 
 func encodeResync(m *resyncMsg) []byte {
 	b := []byte{msgResync}
-	b = binary.LittleEndian.AppendUint64(b, m.Seq)
 	b = binary.LittleEndian.AppendUint64(b, m.CSN)
 	b = binary.AppendUvarint(b, uint64(len(m.Recs)))
 	for _, rec := range m.Recs {
-		b = appendBytes(b, rec)
+		b = wire.AppendBytes(b, rec)
 	}
 	b = binary.AppendUvarint(b, uint64(len(m.Models)))
 	for _, mb := range m.Models {
-		b = appendBytes(b, []byte(mb.Name))
+		b = wire.AppendBytes(b, []byte(mb.Name))
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(mb.Acc))
-		b = appendBytes(b, mb.Manifest)
+		b = wire.AppendBytes(b, mb.Manifest)
 	}
 	return b
 }
 
 func decodeResync(b []byte) (*resyncMsg, error) {
-	if len(b) < 17 {
-		return nil, fmt.Errorf("%w: short resync", errStreamBroken)
+	if len(b) < 9 {
+		return nil, fmt.Errorf("%w: short resync", wire.ErrStreamBroken)
 	}
-	m := &resyncMsg{
-		Seq: binary.LittleEndian.Uint64(b[1:9]),
-		CSN: binary.LittleEndian.Uint64(b[9:17]),
-	}
-	b = b[17:]
+	m := &resyncMsg{CSN: binary.LittleEndian.Uint64(b[1:9])}
+	b = b[9:]
 	n, sz := binary.Uvarint(b)
 	if sz <= 0 || n > 1<<24 {
-		return nil, fmt.Errorf("%w: bad resync record count", errStreamBroken)
+		return nil, fmt.Errorf("%w: bad resync record count", wire.ErrStreamBroken)
 	}
 	b = b[sz:]
 	for i := uint64(0); i < n; i++ {
-		rec, rest, err := readBytes(b)
+		rec, rest, err := wire.ReadBytes(b)
 		if err != nil {
 			return nil, err
 		}
@@ -209,19 +143,19 @@ func decodeResync(b []byte) (*resyncMsg, error) {
 	}
 	n, sz = binary.Uvarint(b)
 	if sz <= 0 || n > 1<<16 {
-		return nil, fmt.Errorf("%w: bad resync model count", errStreamBroken)
+		return nil, fmt.Errorf("%w: bad resync model count", wire.ErrStreamBroken)
 	}
 	b = b[sz:]
 	for i := uint64(0); i < n; i++ {
-		name, rest, err := readBytes(b)
+		name, rest, err := wire.ReadBytes(b)
 		if err != nil {
 			return nil, err
 		}
 		if len(rest) < 8 {
-			return nil, fmt.Errorf("%w: truncated model accuracy", errStreamBroken)
+			return nil, fmt.Errorf("%w: truncated model accuracy", wire.ErrStreamBroken)
 		}
 		acc := math.Float64frombits(binary.LittleEndian.Uint64(rest))
-		data, rest, err := readBytes(rest[8:])
+		data, rest, err := wire.ReadBytes(rest[8:])
 		if err != nil {
 			return nil, err
 		}
@@ -229,7 +163,7 @@ func decodeResync(b []byte) (*resyncMsg, error) {
 		m.Models = append(m.Models, modelManifest{Name: string(name), Acc: acc, Manifest: data})
 	}
 	if len(b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing resync bytes", errStreamBroken, len(b))
+		return nil, fmt.Errorf("%w: %d trailing resync bytes", wire.ErrStreamBroken, len(b))
 	}
 	return m, nil
 }
@@ -249,16 +183,16 @@ func encodeBlockReq(hashes []blockstore.Hash) []byte {
 
 func decodeBlockReq(b []byte) ([]blockstore.Hash, error) {
 	if len(b) < 1 || b[0] != msgBlockReq {
-		return nil, fmt.Errorf("%w: bad block request", errStreamBroken)
+		return nil, fmt.Errorf("%w: bad block request", wire.ErrStreamBroken)
 	}
 	b = b[1:]
 	n, sz := binary.Uvarint(b)
 	if sz <= 0 || n > 1<<20 {
-		return nil, fmt.Errorf("%w: bad block request count", errStreamBroken)
+		return nil, fmt.Errorf("%w: bad block request count", wire.ErrStreamBroken)
 	}
 	b = b[sz:]
 	if uint64(len(b)) != n*uint64(len(blockstore.Hash{})) {
-		return nil, fmt.Errorf("%w: truncated block request", errStreamBroken)
+		return nil, fmt.Errorf("%w: truncated block request", wire.ErrStreamBroken)
 	}
 	hashes := make([]blockstore.Hash, n)
 	for i := range hashes {
@@ -271,40 +205,38 @@ func decodeBlockReq(b []byte) ([]blockstore.Hash, error) {
 // blocksMsg is the primary's reply: the requested blocks as (hash, encoded
 // payload) pairs, in request order.
 type blocksMsg struct {
-	Seq    uint64
 	Hashes []blockstore.Hash
 	Data   [][]byte
 }
 
 func encodeBlocks(m *blocksMsg) []byte {
 	b := []byte{msgBlocks}
-	b = binary.LittleEndian.AppendUint64(b, m.Seq)
 	b = binary.AppendUvarint(b, uint64(len(m.Hashes)))
 	for i, h := range m.Hashes {
 		b = append(b, h[:]...)
-		b = appendBytes(b, m.Data[i])
+		b = wire.AppendBytes(b, m.Data[i])
 	}
 	return b
 }
 
 func decodeBlocks(b []byte) (*blocksMsg, error) {
-	if len(b) < 9 || b[0] != msgBlocks {
-		return nil, fmt.Errorf("%w: bad blocks message", errStreamBroken)
+	if len(b) < 1 || b[0] != msgBlocks {
+		return nil, fmt.Errorf("%w: bad blocks message", wire.ErrStreamBroken)
 	}
-	m := &blocksMsg{Seq: binary.LittleEndian.Uint64(b[1:9])}
-	b = b[9:]
+	m := &blocksMsg{}
+	b = b[1:]
 	n, sz := binary.Uvarint(b)
 	if sz <= 0 || n > 1<<20 {
-		return nil, fmt.Errorf("%w: bad blocks count", errStreamBroken)
+		return nil, fmt.Errorf("%w: bad blocks count", wire.ErrStreamBroken)
 	}
 	b = b[sz:]
 	for i := uint64(0); i < n; i++ {
 		if len(b) < len(blockstore.Hash{}) {
-			return nil, fmt.Errorf("%w: truncated block hash", errStreamBroken)
+			return nil, fmt.Errorf("%w: truncated block hash", wire.ErrStreamBroken)
 		}
 		var h blockstore.Hash
 		copy(h[:], b[:len(h)])
-		data, rest, err := readBytes(b[len(h):])
+		data, rest, err := wire.ReadBytes(b[len(h):])
 		if err != nil {
 			return nil, err
 		}
@@ -313,7 +245,7 @@ func decodeBlocks(b []byte) (*blocksMsg, error) {
 		m.Data = append(m.Data, data)
 	}
 	if len(b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing blocks bytes", errStreamBroken, len(b))
+		return nil, fmt.Errorf("%w: %d trailing blocks bytes", wire.ErrStreamBroken, len(b))
 	}
 	return m, nil
 }
@@ -325,20 +257,19 @@ func encodeHello(applied uint64) []byte {
 
 func decodeHello(b []byte) (uint64, error) {
 	if len(b) != 9 || b[0] != msgHello {
-		return 0, fmt.Errorf("%w: bad hello", errStreamBroken)
+		return 0, fmt.Errorf("%w: bad hello", wire.ErrStreamBroken)
 	}
 	return binary.LittleEndian.Uint64(b[1:9]), nil
 }
 
-func encodeHeartbeat(seq, csn uint64) []byte {
+func encodeHeartbeat(csn uint64) []byte {
 	b := []byte{msgHeartbeat}
-	b = binary.LittleEndian.AppendUint64(b, seq)
 	return binary.LittleEndian.AppendUint64(b, csn)
 }
 
-func decodeHeartbeat(b []byte) (seq, csn uint64, err error) {
-	if len(b) != 17 {
-		return 0, 0, fmt.Errorf("%w: bad heartbeat", errStreamBroken)
+func decodeHeartbeat(b []byte) (csn uint64, err error) {
+	if len(b) != 9 {
+		return 0, fmt.Errorf("%w: bad heartbeat", wire.ErrStreamBroken)
 	}
-	return binary.LittleEndian.Uint64(b[1:9]), binary.LittleEndian.Uint64(b[9:17]), nil
+	return binary.LittleEndian.Uint64(b[1:9]), nil
 }

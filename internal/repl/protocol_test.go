@@ -1,51 +1,16 @@
 package repl
 
 import (
-	"bytes"
 	"errors"
 	"reflect"
 	"testing"
 
 	"tensorbase/internal/blockstore"
+	"tensorbase/internal/wire"
 )
-
-func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	payload := []byte("hello, replication")
-	if err := writeFrame(&buf, payload); err != nil {
-		t.Fatal(err)
-	}
-	got, err := readFrame(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("payload %q round-tripped to %q", payload, got)
-	}
-}
-
-func TestFrameRejectsCorruption(t *testing.T) {
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	raw[5] ^= 0x40 // flip a payload bit
-	if _, err := readFrame(bytes.NewReader(raw)); !errors.Is(err, errStreamBroken) {
-		t.Fatalf("corrupt frame read = %v, want errStreamBroken", err)
-	}
-}
-
-func TestFrameRejectsInsaneLength(t *testing.T) {
-	raw := []byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}
-	if _, err := readFrame(bytes.NewReader(raw)); !errors.Is(err, errStreamBroken) {
-		t.Fatalf("oversized length = %v, want errStreamBroken", err)
-	}
-}
 
 func TestGroupRoundTrip(t *testing.T) {
 	g := &groupMsg{
-		Seq:  7,
 		CSN:  42,
 		Recs: [][]byte{[]byte("rec-one"), []byte("rec-two"), []byte("model-rec")},
 	}
@@ -59,15 +24,14 @@ func TestGroupRoundTrip(t *testing.T) {
 }
 
 func TestGroupRejectsTrailingBytes(t *testing.T) {
-	b := encodeGroup(&groupMsg{Seq: 1, CSN: 1, Recs: [][]byte{[]byte("r")}})
-	if _, err := decodeGroup(append(b, 0xEE)); !errors.Is(err, errStreamBroken) {
-		t.Fatalf("trailing bytes = %v, want errStreamBroken", err)
+	b := encodeGroup(&groupMsg{CSN: 1, Recs: [][]byte{[]byte("r")}})
+	if _, err := decodeGroup(append(b, 0xEE)); !errors.Is(err, wire.ErrStreamBroken) {
+		t.Fatalf("trailing bytes = %v, want wire.ErrStreamBroken", err)
 	}
 }
 
 func TestResyncRoundTrip(t *testing.T) {
 	m := &resyncMsg{
-		Seq:  3,
 		CSN:  99,
 		Recs: [][]byte{[]byte("create"), []byte("insert")},
 		Models: []modelManifest{
@@ -84,8 +48,8 @@ func TestResyncRoundTrip(t *testing.T) {
 }
 
 func TestResyncRejectsTruncation(t *testing.T) {
-	b := encodeResync(&resyncMsg{Seq: 1, CSN: 1, Models: []modelManifest{{Name: "m", Manifest: []byte("d")}}})
-	for cut := 18; cut < len(b); cut += 3 {
+	b := encodeResync(&resyncMsg{CSN: 1, Models: []modelManifest{{Name: "m", Manifest: []byte("d")}}})
+	for cut := 10; cut < len(b); cut += 3 {
 		if _, err := decodeResync(b[:cut]); err == nil {
 			t.Fatalf("truncation at %d decoded cleanly", cut)
 		}
@@ -106,15 +70,15 @@ func TestBlockReqRoundTrip(t *testing.T) {
 	if got, err := decodeBlockReq(encodeBlockReq(nil)); err != nil || len(got) != 0 {
 		t.Fatalf("empty block request round-trip: (%v, %v)", got, err)
 	}
-	if _, err := decodeBlockReq(encodeBlockReq([]blockstore.Hash{h1})[:20]); !errors.Is(err, errStreamBroken) {
-		t.Fatalf("truncated block request = %v, want errStreamBroken", err)
+	if _, err := decodeBlockReq(encodeBlockReq([]blockstore.Hash{h1})[:20]); !errors.Is(err, wire.ErrStreamBroken) {
+		t.Fatalf("truncated block request = %v, want wire.ErrStreamBroken", err)
 	}
 }
 
 func TestBlocksRoundTrip(t *testing.T) {
 	var h blockstore.Hash
 	h[7] = 0x7E
-	m := &blocksMsg{Seq: 11, Hashes: []blockstore.Hash{h}, Data: [][]byte{[]byte("payload")}}
+	m := &blocksMsg{Hashes: []blockstore.Hash{h}, Data: [][]byte{[]byte("payload")}}
 	got, err := decodeBlocks(encodeBlocks(m))
 	if err != nil {
 		t.Fatal(err)
@@ -122,8 +86,8 @@ func TestBlocksRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(m, got) {
 		t.Fatalf("blocks round-trip:\nsent %+v\ngot  %+v", m, got)
 	}
-	if _, err := decodeBlocks(append(encodeBlocks(m), 0xEE)); !errors.Is(err, errStreamBroken) {
-		t.Fatalf("trailing blocks bytes = %v, want errStreamBroken", err)
+	if _, err := decodeBlocks(append(encodeBlocks(m), 0xEE)); !errors.Is(err, wire.ErrStreamBroken) {
+		t.Fatalf("trailing blocks bytes = %v, want wire.ErrStreamBroken", err)
 	}
 }
 
@@ -132,27 +96,11 @@ func TestHelloAndHeartbeatRoundTrip(t *testing.T) {
 	if err != nil || csn != 1234 {
 		t.Fatalf("hello round-trip = (%d, %v)", csn, err)
 	}
-	if _, err := decodeHello([]byte{msgHello, 1}); !errors.Is(err, errStreamBroken) {
+	if _, err := decodeHello([]byte{msgHello, 1}); !errors.Is(err, wire.ErrStreamBroken) {
 		t.Fatalf("short hello = %v", err)
 	}
-	seq, hcsn, err := decodeHeartbeat(encodeHeartbeat(9, 77))
-	if err != nil || seq != 9 || hcsn != 77 {
-		t.Fatalf("heartbeat round-trip = (%d, %d, %v)", seq, hcsn, err)
-	}
-}
-
-func TestCheckSeq(t *testing.T) {
-	var last uint64
-	if dup, err := checkSeq(&last, 1); dup || err != nil {
-		t.Fatalf("seq 1: dup=%v err=%v", dup, err)
-	}
-	if dup, err := checkSeq(&last, 1); !dup || err != nil {
-		t.Fatalf("replayed seq 1: dup=%v err=%v, want duplicate", dup, err)
-	}
-	if dup, err := checkSeq(&last, 2); dup || err != nil {
-		t.Fatalf("seq 2: dup=%v err=%v", dup, err)
-	}
-	if _, err := checkSeq(&last, 4); !errors.Is(err, errStreamBroken) {
-		t.Fatalf("gapped seq 4 after 2 = %v, want errStreamBroken", err)
+	hcsn, err := decodeHeartbeat(encodeHeartbeat(77))
+	if err != nil || hcsn != 77 {
+		t.Fatalf("heartbeat round-trip = (%d, %v)", hcsn, err)
 	}
 }

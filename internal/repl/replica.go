@@ -14,6 +14,7 @@ import (
 	"tensorbase/internal/lifecycle"
 	"tensorbase/internal/retry"
 	"tensorbase/internal/wal"
+	"tensorbase/internal/wire"
 )
 
 // ReplicaOptions configures the receiving side.
@@ -270,47 +271,36 @@ func (r *Replica) run() {
 	}
 }
 
-// stream runs one connection: hello with the applied CSN, then verify and
-// apply frames until the link breaks or goes silent.
+// stream runs one connection: hello with the applied CSN, then apply
+// frames until the link breaks or goes silent. The FrameConn has already
+// dropped duplicates and turned gaps, reorders and corruption into
+// wire.ErrStreamBroken.
 func (r *Replica) stream(conn net.Conn) error {
-	if err := writeFrame(conn, encodeHello(r.AppliedCSN())); err != nil {
+	fc := wire.NewFrameConn(conn, nil)
+	if err := fc.Send(encodeHello(r.AppliedCSN())); err != nil {
 		return err
 	}
 	r.connected.Store(true)
 	r.lastMsg.Store(time.Now().UnixNano())
 	stale := 4 * r.opts.HeartbeatInterval
-	var lastSeq uint64
 	for {
 		conn.SetReadDeadline(time.Now().Add(stale))
-		payload, err := readFrame(conn)
+		payload, err := fc.Recv()
 		if err != nil {
 			return err
 		}
 		r.lastMsg.Store(time.Now().UnixNano())
-		var seq uint64
 		switch payload[0] {
 		case msgHeartbeat:
-			var csn uint64
-			if seq, csn, err = decodeHeartbeat(payload); err != nil {
+			csn, err := decodeHeartbeat(payload)
+			if err != nil {
 				return err
-			}
-			if dup, err := checkSeq(&lastSeq, seq); err != nil || dup {
-				if err != nil {
-					return err
-				}
-				continue
 			}
 			r.primaryCSN.Store(csn)
 		case msgGroup:
 			g, err := decodeGroup(payload)
 			if err != nil {
 				return err
-			}
-			if dup, err := checkSeq(&lastSeq, g.Seq); err != nil || dup {
-				if err != nil {
-					return err
-				}
-				continue
 			}
 			if err := r.applyGroup(g); err != nil {
 				return err
@@ -323,37 +313,16 @@ func (r *Replica) stream(conn net.Conn) error {
 			if err != nil {
 				return err
 			}
-			if dup, err := checkSeq(&lastSeq, m.Seq); err != nil || dup {
-				if err != nil {
-					return err
-				}
-				continue
-			}
-			if err := r.applyResync(conn, m, &lastSeq); err != nil {
+			if err := r.applyResync(fc, conn, m); err != nil {
 				return err
 			}
 			if m.CSN > r.primaryCSN.Load() {
 				r.primaryCSN.Store(m.CSN)
 			}
 		default:
-			return fmt.Errorf("%w: unknown message type %d", errStreamBroken, payload[0])
+			return fmt.Errorf("%w: unknown message type %d", wire.ErrStreamBroken, payload[0])
 		}
 	}
-}
-
-// checkSeq enforces in-order delivery: a duplicate (seq ≤ last) is
-// discarded silently — the sender's fault injector duplicates frames — and
-// a gap or reorder breaks the stream so the replica re-hellos from its
-// applied CSN.
-func checkSeq(last *uint64, seq uint64) (dup bool, err error) {
-	switch {
-	case seq <= *last:
-		return true, nil
-	case seq != *last+1:
-		return false, fmt.Errorf("%w: seq %d after %d", errStreamBroken, seq, *last)
-	}
-	*last = seq
-	return false, nil
 }
 
 func (r *Replica) applyGroup(g *groupMsg) error {
@@ -362,7 +331,7 @@ func (r *Replica) applyGroup(g *groupMsg) error {
 	for i, rb := range g.Recs {
 		rec, err := wal.DecodeRecord(rb)
 		if err != nil {
-			return fmt.Errorf("%w: corrupt record in group %d: %v", errStreamBroken, g.CSN, err)
+			return fmt.Errorf("%w: corrupt record in group %d: %v", wire.ErrStreamBroken, g.CSN, err)
 		}
 		recs[i] = rec
 	}
@@ -380,7 +349,7 @@ func (r *Replica) applyGroup(g *groupMsg) error {
 // the engine. The synthesized RecBlock records go through ApplyReplicated
 // with the snapshot, so the replica's own WAL is self-contained: a crash
 // mid-apply recovers without the primary.
-func (r *Replica) applyResync(conn net.Conn, m *resyncMsg, lastSeq *uint64) error {
+func (r *Replica) applyResync(fc *wire.FrameConn, conn net.Conn, m *resyncMsg) error {
 	db := r.db.Load()
 	manifests := make([][]byte, len(m.Models))
 	for i, mb := range m.Models {
@@ -388,13 +357,13 @@ func (r *Replica) applyResync(conn net.Conn, m *resyncMsg, lastSeq *uint64) erro
 	}
 	missing, err := db.MissingBlocks(manifests)
 	if err != nil {
-		return fmt.Errorf("%w: resync %d: %v", errStreamBroken, m.CSN, err)
+		return fmt.Errorf("%w: resync %d: %v", wire.ErrStreamBroken, m.CSN, err)
 	}
-	if err := writeFrame(conn, encodeBlockReq(missing)); err != nil {
+	if err := fc.Send(encodeBlockReq(missing)); err != nil {
 		return err
 	}
 	conn.SetReadDeadline(time.Now().Add(4 * r.opts.HeartbeatInterval))
-	payload, err := readFrame(conn)
+	payload, err := fc.Recv()
 	conn.SetReadDeadline(time.Time{})
 	if err != nil {
 		return err
@@ -404,12 +373,6 @@ func (r *Replica) applyResync(conn net.Conn, m *resyncMsg, lastSeq *uint64) erro
 	if err != nil {
 		return err
 	}
-	if dup, err := checkSeq(lastSeq, blocks.Seq); err != nil || dup {
-		if err != nil {
-			return err
-		}
-		return fmt.Errorf("%w: duplicate blocks reply", errStreamBroken)
-	}
 	want := make(map[blockstore.Hash]bool, len(missing))
 	for _, h := range missing {
 		want[h] = true
@@ -418,22 +381,22 @@ func (r *Replica) applyResync(conn net.Conn, m *resyncMsg, lastSeq *uint64) erro
 	for i, raw := range blocks.Data {
 		data, err := blockstore.Decode(raw)
 		if err != nil {
-			return fmt.Errorf("%w: resync block: %v", errStreamBroken, err)
+			return fmt.Errorf("%w: resync block: %v", wire.ErrStreamBroken, err)
 		}
 		h := blockstore.HashOf(data)
 		if h != blocks.Hashes[i] || !want[h] {
-			return fmt.Errorf("%w: resync block %s not requested or content mismatch", errStreamBroken, blocks.Hashes[i])
+			return fmt.Errorf("%w: resync block %s not requested or content mismatch", wire.ErrStreamBroken, blocks.Hashes[i])
 		}
 		delete(want, h)
 		recs = append(recs, &wal.Record{Type: wal.RecBlock, CSN: m.CSN, Data: raw})
 	}
 	if len(want) != 0 {
-		return fmt.Errorf("%w: resync reply missing %d requested blocks", errStreamBroken, len(want))
+		return fmt.Errorf("%w: resync reply missing %d requested blocks", wire.ErrStreamBroken, len(want))
 	}
 	for _, rb := range m.Recs {
 		rec, err := wal.DecodeRecord(rb)
 		if err != nil {
-			return fmt.Errorf("%w: corrupt record in resync %d: %v", errStreamBroken, m.CSN, err)
+			return fmt.Errorf("%w: corrupt record in resync %d: %v", wire.ErrStreamBroken, m.CSN, err)
 		}
 		recs = append(recs, rec)
 	}
@@ -469,5 +432,5 @@ func (r *Replica) crashReopen(cause error) error {
 		return r.dead
 	}
 	r.db.Store(db)
-	return fmt.Errorf("%w: %v", errStreamBroken, cause)
+	return fmt.Errorf("%w: %v", wire.ErrStreamBroken, cause)
 }

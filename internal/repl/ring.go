@@ -6,13 +6,13 @@
 // retention — the shipping-level analogue of a checkpoint truncating the
 // WAL under it — full-resyncs from a logical snapshot instead.
 //
-// The stream carries sequence numbers on every frame; any gap, reorder, or
-// CRC failure resets the stream and the replica reconnects with its
-// applied CSN, so transport faults (see fault.Link) degrade to retries,
-// never to divergence. Correctness flows from the engine's own commit
-// protocol: groups apply through the replica's WAL with the same
-// commit-record gating recovery uses, so a replica killed mid-apply comes
-// back to its last applied CSN and the stream re-delivers.
+// The stream runs over wire.FrameConn: duplicates are discarded, and any
+// gap, reorder, or CRC failure resets the stream and the replica
+// reconnects with its applied CSN, so transport faults (see fault.Link)
+// degrade to retries, never to divergence. Correctness flows from the
+// engine's own commit protocol: groups apply through the replica's WAL
+// with the same commit-record gating recovery uses, so a replica killed
+// mid-apply comes back to its last applied CSN and the stream re-delivers.
 package repl
 
 import (

@@ -7,11 +7,12 @@ import (
 	"math"
 
 	"tensorbase/internal/table"
+	"tensorbase/internal/wire"
 )
 
 // Wire protocol between a shard client and a shard server, carried as
-// opaque payloads inside connector.FrameConn frames (which add sequencing
-// and CRC). One request per connection: the client sends a single request
+// opaque payloads inside wire.FrameConn frames (which add sequencing and
+// CRC). One request per connection: the client sends a single request
 // frame, the server streams response frames, and the connection closes.
 // That shape is what makes fault recovery trivial — any break mid-stream
 // means "redial and resend the whole request", with no resumption state.
@@ -48,25 +49,12 @@ const (
 // under the transport's frame cap.
 const rowsPerFrame = 256
 
-func appendBytes(buf, b []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(b)))
-	return append(buf, b...)
-}
-
-func readBytes(buf []byte) ([]byte, []byte, error) {
-	n, sz := binary.Uvarint(buf)
-	if sz <= 0 || uint64(len(buf)-sz) < n {
-		return nil, nil, errors.New("shard: truncated field")
-	}
-	return buf[sz : sz+int(n) : sz+int(n)], buf[sz+int(n):], nil
-}
-
 // encodeSchema serialises a schema: uvarint column count, then per column
 // a length-prefixed name and one type byte.
 func encodeSchema(buf []byte, s *table.Schema) []byte {
 	buf = binary.AppendUvarint(buf, uint64(s.Len()))
 	for _, c := range s.Cols {
-		buf = appendBytes(buf, []byte(c.Name))
+		buf = wire.AppendBytes(buf, []byte(c.Name))
 		buf = append(buf, byte(c.Type))
 	}
 	return buf
@@ -80,7 +68,7 @@ func decodeSchema(buf []byte) (*table.Schema, []byte, error) {
 	buf = buf[sz:]
 	cols := make([]table.Column, 0, n)
 	for i := uint64(0); i < n; i++ {
-		name, rest, err := readBytes(buf)
+		name, rest, err := wire.ReadBytes(buf)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -107,7 +95,7 @@ func encodeRowsFrame(s *table.Schema, rows []table.Tuple) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		buf = appendBytes(buf, rec)
+		buf = wire.AppendBytes(buf, rec)
 	}
 	return buf, nil
 }
@@ -120,7 +108,7 @@ func decodeRowsFrame(s *table.Schema, buf []byte) ([]table.Tuple, error) {
 	buf = buf[sz:]
 	rows := make([]table.Tuple, 0, n)
 	for i := uint64(0); i < n; i++ {
-		rec, rest, err := readBytes(buf)
+		rec, rest, err := wire.ReadBytes(buf)
 		if err != nil {
 			return nil, err
 		}
@@ -199,8 +187,8 @@ func encodeExecReq(sqlText string) []byte {
 func encodeNearestReq(tbl, col string, query []float32, k int, floor uint64) []byte {
 	buf := []byte{reqNearest}
 	buf = binary.LittleEndian.AppendUint64(buf, floor)
-	buf = appendBytes(buf, []byte(tbl))
-	buf = appendBytes(buf, []byte(col))
+	buf = wire.AppendBytes(buf, []byte(tbl))
+	buf = wire.AppendBytes(buf, []byte(col))
 	buf = binary.AppendUvarint(buf, uint64(k))
 	buf = binary.AppendUvarint(buf, uint64(len(query)))
 	for _, f := range query {
@@ -215,11 +203,11 @@ func decodeNearestReq(buf []byte) (tbl, col string, query []float32, k int, floo
 	}
 	floor = binary.LittleEndian.Uint64(buf)
 	buf = buf[8:]
-	tb, buf, err := readBytes(buf)
+	tb, buf, err := wire.ReadBytes(buf)
 	if err != nil {
 		return "", "", nil, 0, 0, err
 	}
-	cb, buf, err := readBytes(buf)
+	cb, buf, err := wire.ReadBytes(buf)
 	if err != nil {
 		return "", "", nil, 0, 0, err
 	}
@@ -228,8 +216,9 @@ func decodeNearestReq(buf []byte) (tbl, col string, query []float32, k int, floo
 		return "", "", nil, 0, 0, errors.New("shard: bad k")
 	}
 	buf = buf[sz:]
+	// Division form: 4*dim wraps for a hostile dim.
 	dim, sz := binary.Uvarint(buf)
-	if sz <= 0 || uint64(len(buf)-sz) != 4*dim {
+	if rest := uint64(len(buf) - sz); sz <= 0 || rest%4 != 0 || rest/4 != dim {
 		return "", "", nil, 0, 0, errors.New("shard: bad query vector")
 	}
 	buf = buf[sz:]
@@ -253,7 +242,7 @@ func encodeDistsFrame(dists []float64) []byte {
 
 func decodeDistsFrame(buf []byte) ([]float64, error) {
 	n, sz := binary.Uvarint(buf)
-	if sz <= 0 || uint64(len(buf)-sz) != 8*n {
+	if rest := uint64(len(buf) - sz); sz <= 0 || rest%8 != 0 || rest/8 != n {
 		return nil, errors.New("shard: bad distances frame")
 	}
 	buf = buf[sz:]
@@ -274,16 +263,16 @@ func encodeLoadModelReq(blob []byte, accuracy float64) []byte {
 // encodeVIndexReq requests an ANN index build.
 func encodeVIndexReq(tbl, col string) []byte {
 	buf := []byte{reqVIndex}
-	buf = appendBytes(buf, []byte(tbl))
-	return appendBytes(buf, []byte(col))
+	buf = wire.AppendBytes(buf, []byte(tbl))
+	return wire.AppendBytes(buf, []byte(col))
 }
 
 func decodeVIndexReq(buf []byte) (tbl, col string, err error) {
-	tb, buf, err := readBytes(buf)
+	tb, buf, err := wire.ReadBytes(buf)
 	if err != nil {
 		return "", "", err
 	}
-	cb, _, err := readBytes(buf)
+	cb, _, err := wire.ReadBytes(buf)
 	if err != nil {
 		return "", "", err
 	}

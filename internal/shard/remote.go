@@ -7,10 +7,10 @@ import (
 	"net"
 	"time"
 
-	"tensorbase/internal/connector"
 	"tensorbase/internal/engine"
 	"tensorbase/internal/nn"
 	"tensorbase/internal/table"
+	"tensorbase/internal/wire"
 )
 
 // RemoteNode is a shard behind a Server, reached by dialing per request.
@@ -75,7 +75,7 @@ func (n *RemoteNode) attempt(ctx context.Context, req []byte) (resp *wireResp, a
 		deadline = d
 	}
 	conn.SetDeadline(deadline)
-	fc := connector.NewFrameConn(conn, nil)
+	fc := wire.NewFrameConn(conn, nil)
 	if err := fc.Send(req); err != nil {
 		return nil, nil, err
 	}

@@ -9,10 +9,10 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"tensorbase/internal/connector"
 	"tensorbase/internal/fault"
 	"tensorbase/internal/nn"
 	"tensorbase/internal/table"
+	"tensorbase/internal/wire"
 )
 
 // Server exposes one shard node over a listener: one request per
@@ -65,7 +65,7 @@ func (s *Server) acceptLoop() {
 
 // sendRows streams tuples in bounded frames; a transport error abandons
 // the stream (the client's sequence check detects the break and retries).
-func sendRows(fc *connector.FrameConn, schema *table.Schema, rows []table.Tuple) bool {
+func sendRows(fc *wire.FrameConn, schema *table.Schema, rows []table.Tuple) bool {
 	for off := 0; off < len(rows); off += rowsPerFrame {
 		end := min(off+rowsPerFrame, len(rows))
 		frame, err := encodeRowsFrame(schema, rows[off:end])
@@ -82,7 +82,7 @@ func sendRows(fc *connector.FrameConn, schema *table.Schema, rows []table.Tuple)
 
 // serveConn handles one request/response exchange.
 func (s *Server) serveConn(conn net.Conn) {
-	fc := connector.NewFrameConn(conn, s.link)
+	fc := wire.NewFrameConn(conn, s.link)
 	req, err := fc.Recv()
 	if err != nil {
 		return

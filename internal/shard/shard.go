@@ -13,7 +13,7 @@
 //     distance-ordered top-k merge for Nearest;
 //   - an INSERT splits its rows by key hash, DDL and model loads broadcast.
 //
-// Remote traffic runs over connector.FrameConn, so every response stream is
+// Remote traffic runs over wire.FrameConn, so every response stream is
 // CRC-framed and sequence-checked, and a fault.Link on the server's send
 // side exercises drops, duplicates, reorders, and partitions; clients
 // retry broken read streams on fresh connections and surface writes'

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"tensorbase/internal/fault"
+	"tensorbase/internal/wire"
 )
 
 // Fault points, in the order a record travels through the log. Tests
@@ -480,48 +481,34 @@ func EncodeRecord(r *Record) []byte { return encodeRecord(r) }
 // untrusted wire input once the caller has checked the frame CRC.
 func DecodeRecord(b []byte) (*Record, error) { return decodeRecord(b) }
 
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func readString(b []byte) (string, []byte, error) {
-	n, sz := binary.Uvarint(b)
-	if sz <= 0 || uint64(len(b)-sz) < n {
-		return "", nil, fmt.Errorf("wal: truncated string field")
-	}
-	return string(b[sz : sz+int(n)]), b[sz+int(n):], nil
-}
-
+// Every variable-length field is a wire.AppendBytes field. Decode copies
+// each one out of b, so a record never aliases the caller's buffer.
 func encodeRecord(r *Record) []byte {
 	b := make([]byte, 0, 16+len(r.Table)+len(r.Data)+len(r.Model))
 	b = append(b, byte(r.Type))
 	b = binary.LittleEndian.AppendUint64(b, r.CSN)
 	switch r.Type {
 	case RecInsert:
-		b = appendString(b, r.Table)
-		b = binary.AppendUvarint(b, uint64(len(r.Data)))
-		b = append(b, r.Data...)
+		b = wire.AppendBytes(b, []byte(r.Table))
+		b = wire.AppendBytes(b, r.Data)
 	case RecCommit:
 	case RecCreateTable:
-		b = appendString(b, r.Table)
+		b = wire.AppendBytes(b, []byte(r.Table))
 		b = binary.AppendUvarint(b, uint64(len(r.Cols)))
 		for _, c := range r.Cols {
-			b = appendString(b, c.Name)
+			b = wire.AppendBytes(b, []byte(c.Name))
 			b = append(b, c.Type)
 		}
 	case RecDropTable:
-		b = appendString(b, r.Table)
+		b = wire.AppendBytes(b, []byte(r.Table))
 	case RecLoadModel:
-		b = appendString(b, r.Model)
+		b = wire.AppendBytes(b, []byte(r.Model))
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(r.Acc))
-		b = binary.AppendUvarint(b, uint64(len(r.Data)))
-		b = append(b, r.Data...)
+		b = wire.AppendBytes(b, r.Data)
 	case RecBlock:
-		b = binary.AppendUvarint(b, uint64(len(r.Data)))
-		b = append(b, r.Data...)
+		b = wire.AppendBytes(b, r.Data)
 	case RecDropModel:
-		b = appendString(b, r.Model)
+		b = wire.AppendBytes(b, []byte(r.Model))
 	}
 	return b
 }
@@ -532,71 +519,65 @@ func decodeRecord(b []byte) (*Record, error) {
 	}
 	r := &Record{Type: RecType(b[0]), CSN: binary.LittleEndian.Uint64(b[1:9])}
 	b = b[9:]
+	var f []byte
 	var err error
 	switch r.Type {
 	case RecInsert:
-		if r.Table, b, err = readString(b); err != nil {
-			return nil, err
+		if f, b, err = wire.ReadBytes(b); err == nil {
+			r.Table = string(f)
+			f, b, err = wire.ReadBytes(b)
+			r.Data = append([]byte(nil), f...)
 		}
-		n, sz := binary.Uvarint(b)
-		if sz <= 0 || uint64(len(b)-sz) < n {
-			return nil, fmt.Errorf("wal: truncated insert payload")
-		}
-		r.Data = append([]byte(nil), b[sz:sz+int(n)]...)
-		b = b[sz+int(n):]
 	case RecCommit:
 	case RecCreateTable:
-		if r.Table, b, err = readString(b); err != nil {
-			return nil, err
+		if f, b, err = wire.ReadBytes(b); err != nil {
+			break
 		}
+		r.Table = string(f)
 		n, sz := binary.Uvarint(b)
 		if sz <= 0 || n > 1<<16 {
 			return nil, fmt.Errorf("wal: bad column count")
 		}
 		b = b[sz:]
 		for i := uint64(0); i < n; i++ {
-			var c Col
-			if c.Name, b, err = readString(b); err != nil {
-				return nil, err
+			if f, b, err = wire.ReadBytes(b); err != nil {
+				break
 			}
 			if len(b) < 1 {
 				return nil, fmt.Errorf("wal: truncated column type")
 			}
-			c.Type, b = b[0], b[1:]
-			r.Cols = append(r.Cols, c)
+			r.Cols = append(r.Cols, Col{Name: string(f), Type: b[0]})
+			b = b[1:]
 		}
 	case RecDropTable:
-		if r.Table, b, err = readString(b); err != nil {
-			return nil, err
-		}
+		f, b, err = wire.ReadBytes(b)
+		r.Table = string(f)
 	case RecLoadModel:
-		if r.Model, b, err = readString(b); err != nil {
-			return nil, err
+		if f, b, err = wire.ReadBytes(b); err != nil {
+			break
 		}
+		r.Model = string(f)
 		if len(b) < 8 {
 			return nil, fmt.Errorf("wal: truncated model record")
 		}
 		r.Acc = math.Float64frombits(binary.LittleEndian.Uint64(b))
-		b = b[8:]
-		n, sz := binary.Uvarint(b)
-		if sz <= 0 || n == 0 || uint64(len(b)-sz) < n {
+		if f, b, err = wire.ReadBytes(b[8:]); err == nil && len(f) == 0 {
 			return nil, fmt.Errorf("wal: model record without a manifest")
 		}
-		r.Data = append([]byte(nil), b[sz:sz+int(n)]...)
-		b = b[sz+int(n):]
+		r.Data = append([]byte(nil), f...)
 	case RecBlock:
-		n, sz := binary.Uvarint(b)
-		if sz <= 0 || n == 0 || n > 1<<17 || uint64(len(b)-sz) < n {
-			return nil, fmt.Errorf("wal: bad block payload")
+		if f, b, err = wire.ReadBytes(b); err == nil && (len(f) == 0 || len(f) > 1<<17) {
+			return nil, fmt.Errorf("wal: bad block payload of %d bytes", len(f))
 		}
-		r.Data = append([]byte(nil), b[sz:sz+int(n)]...)
-		b = b[sz+int(n):]
+		r.Data = append([]byte(nil), f...)
 	case RecDropModel:
-		if r.Model, b, err = readString(b); err != nil {
-			return nil, err
-		}
+		f, b, err = wire.ReadBytes(b)
+		r.Model = string(f)
 	default:
 		return nil, fmt.Errorf("wal: unknown record type %d", r.Type)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("wal: truncated field in record type %d", r.Type)
 	}
 	if len(b) != 0 {
 		return nil, fmt.Errorf("wal: %d trailing bytes in record", len(b))
