@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -101,23 +102,21 @@ func TestCTEQueries(t *testing.T) {
 	}
 }
 
-func TestResultSnapshotCSN(t *testing.T) {
+// TestCheckFloor pins the read-your-writes check: a floor at the committed
+// CSN passes, one past it is a typed lag, and the next commit clears it.
+func TestCheckFloor(t *testing.T) {
 	db := openDB(t, Options{})
 	mustExec(t, db, "CREATE TABLE t (a INT)")
 	mustExec(t, db, "INSERT INTO t VALUES (1)")
-	res := mustExec(t, db, "SELECT a FROM t")
-	if res.SnapshotCSN == 0 || res.SnapshotCSN != db.CommittedCSN() {
-		t.Fatalf("SnapshotCSN = %d, committed = %d", res.SnapshotCSN, db.CommittedCSN())
+	committed := db.CommittedCSN()
+	if err := db.CheckFloor(committed); err != nil {
+		t.Fatalf("floor at the committed CSN: %v", err)
 	}
-	before := res.SnapshotCSN
+	if err := db.CheckFloor(committed + 1); !errors.Is(err, ErrLag) {
+		t.Fatalf("floor past the committed CSN = %v, want ErrLag", err)
+	}
 	mustExec(t, db, "INSERT INTO t VALUES (2)")
-	res = mustExec(t, db, "SELECT a FROM t")
-	if res.SnapshotCSN <= before {
-		t.Fatalf("SnapshotCSN did not advance: %d -> %d", before, res.SnapshotCSN)
-	}
-	// CTE reads report the snapshot their materialisation pinned.
-	res = mustExec(t, db, "WITH x AS (SELECT a FROM t) SELECT a FROM x")
-	if res.SnapshotCSN != db.CommittedCSN() {
-		t.Fatalf("CTE SnapshotCSN = %d, committed = %d", res.SnapshotCSN, db.CommittedCSN())
+	if err := db.CheckFloor(committed + 1); err != nil {
+		t.Fatalf("floor after one more commit: %v", err)
 	}
 }

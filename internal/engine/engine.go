@@ -864,11 +864,6 @@ type Result struct {
 	Schema       *table.Schema
 	Rows         []table.Tuple
 	RowsAffected int64
-	// SnapshotCSN is the committed-CSN snapshot a SELECT actually pinned.
-	// Read routing re-checks it against a session's read-your-writes floor
-	// after the query, closing the race where a replica's applied CSN
-	// drops eligibility between the health check and the scan.
-	SnapshotCSN uint64
 }
 
 // Exec parses and runs one SQL statement without a caller deadline (the

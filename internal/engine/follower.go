@@ -24,6 +24,26 @@ import (
 // ErrReadOnly is returned for any write attempted on a follower engine.
 var ErrReadOnly = errors.New("engine: read-only replica")
 
+// ErrLag is returned by CheckFloor for an engine whose committed horizon
+// has not reached a session's read-your-writes floor. It is retriable: read
+// elsewhere, or again once the engine has applied the write.
+var ErrLag = errors.New("engine: snapshot behind session floor")
+
+// CheckFloor is the read-your-writes check: it fails with ErrLag when the
+// committed CSN is below floor. Checking once, before the read, is enough
+// because a DB's committed CSN never decreases once Open returns — publish
+// advances it in CSN order, followerAdvance only raises it, and the only
+// lowering stores are recovery's, inside Open. So a read issued on the same
+// *DB after CheckFloor returns nil pins a snapshot at or past floor. Callers
+// take the *DB once and check and read on it: a node that crashes and
+// reopens serves from a new *DB whose horizon may be lower.
+func (db *DB) CheckFloor(floor uint64) error {
+	if c := db.committedCSN.Load(); c < floor {
+		return fmt.Errorf("%w: at %d, floor %d", ErrLag, c, floor)
+	}
+	return nil
+}
+
 // SetFollower marks the engine a replication follower (or, with false,
 // promotes it back to writable). It does not interrupt in-flight local
 // statements; callers flip it before serving traffic.

@@ -52,7 +52,6 @@ func (db *DB) runSelect(st *sql.Select, profile bool, tok *lifecycle.Token) (*Re
 	var (
 		op        exec.Operator
 		srcSchema *table.Schema
-		snap      uint64
 	)
 	if i := cteIndex(st); i >= 0 {
 		body := *st.With[i].Query
@@ -61,7 +60,6 @@ func (db *DB) runSelect(st *sql.Select, profile bool, tok *lifecycle.Token) (*Re
 		if err != nil {
 			return nil, nil, fmt.Errorf("engine: CTE %q: %w", st.From, err)
 		}
-		snap = inner.SnapshotCSN
 		srcSchema = inner.Schema
 		ms := exec.NewMemScan(inner.Schema, inner.Rows)
 		ms.SetCancel(tok)
@@ -73,8 +71,7 @@ func (db *DB) runSelect(st *sql.Select, profile bool, tok *lifecycle.Token) (*Re
 		}
 		defer te.Heap.EndRead()
 		db.mSnapshotReads.Inc()
-		snap = db.snapshotCSN()
-		scan := exec.NewHeapScanAt(te.Heap, snap)
+		scan := exec.NewHeapScanAt(te.Heap, db.snapshotCSN())
 		scan.SetCancel(tok)
 		srcSchema = te.Heap.Schema()
 		op = wrap("scan", scan)
@@ -229,7 +226,7 @@ func (db *DB) runSelect(st *sql.Select, profile bool, tok *lifecycle.Token) (*Re
 	for i, j := 0, len(stages)-1; i < j; i, j = i+1, j-1 {
 		stages[i], stages[j] = stages[j], stages[i]
 	}
-	return &Result{Schema: op.Schema(), Rows: rows, SnapshotCSN: snap}, exec.Profile(stages), nil
+	return &Result{Schema: op.Schema(), Rows: rows}, exec.Profile(stages), nil
 }
 
 // aggKinds maps parsed aggregate names to exec kinds.

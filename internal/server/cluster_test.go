@@ -30,10 +30,9 @@ type nodeSlot struct {
 	rep atomic.Pointer[repl.Replica]
 }
 
-func (n *nodeSlot) Name() string       { return n.rep.Load().Name() }
-func (n *nodeSlot) DB() *engine.DB     { return n.rep.Load().DB() }
-func (n *nodeSlot) AppliedCSN() uint64 { return n.rep.Load().AppliedCSN() }
-func (n *nodeSlot) Healthy() bool      { return n.rep.Load().Healthy() }
+func (n *nodeSlot) Name() string   { return n.rep.Load().Name() }
+func (n *nodeSlot) DB() *engine.DB { return n.rep.Load().DB() }
+func (n *nodeSlot) Healthy() bool  { return n.rep.Load().Healthy() }
 
 func TestClusterSmoke(t *testing.T) {
 	// Primary engine + shipper.
@@ -196,11 +195,11 @@ func waitApplied(t *testing.T, pdb *engine.DB, slots ...*nodeSlot) {
 	target := pdb.CommittedCSN()
 	deadline := time.Now().Add(15 * time.Second)
 	for _, s := range slots {
-		for s.AppliedCSN() < target {
+		for s.rep.Load().AppliedCSN() < target {
 			if time.Now().After(deadline) {
 				rep := s.rep.Load()
 				t.Fatalf("%s stuck at CSN %d, primary at %d (stats %+v)",
-					rep.Name(), s.AppliedCSN(), target, rep.Stats())
+					rep.Name(), rep.AppliedCSN(), target, rep.Stats())
 			}
 			time.Sleep(2 * time.Millisecond)
 		}

@@ -16,10 +16,9 @@ import (
 type ReadNode interface {
 	Name() string
 	// DB returns the follower engine currently serving this node's reads
-	// (the pointer may change across a crash/reopen — fetch per query).
+	// (the pointer may change across a crash/reopen — fetch once per query,
+	// and check the floor and read on that one *DB).
 	DB() *engine.DB
-	// AppliedCSN is the snapshot horizon the node serves.
-	AppliedCSN() uint64
 	// Healthy gates routing: false while the node is partitioned, dead, or
 	// resyncing.
 	Healthy() bool
@@ -28,7 +27,8 @@ type ReadNode interface {
 // Router fans reads across healthy replicas and keeps the primary as the
 // fallback of last resort. PREDICT and SELECT are reads; everything else
 // must execute on the primary. Routing enforces read-your-writes with a
-// minimum CSN: a node lagging behind the session's last write is skipped.
+// minimum CSN: a node whose engine fails CheckFloor against the session's
+// last write is skipped.
 //
 // Failure handling: a query error from a node that has since gone
 // unhealthy is treated as a node failure and retried on a different node
@@ -59,7 +59,7 @@ func NewRouter(primary *engine.DB, nodes []ReadNode, policy retry.Policy) *Route
 	r.CounterFunc("tensorbase_router_primary_reads_total", "reads served by the primary (no eligible replica or fallback)", func() float64 { return float64(rt.primaryReads.Load()) })
 	r.CounterFunc("tensorbase_router_retries_total", "reads retried on a different node after a node failure", func() float64 { return float64(rt.retries.Load()) })
 	r.CounterFunc("tensorbase_router_fallbacks_total", "reads that fell back to the primary after replica failures", func() float64 { return float64(rt.fallbacks.Load()) })
-	r.CounterFunc("tensorbase_router_lagged_total", "replica results discarded because the pinned snapshot fell below the session floor", func() float64 { return float64(rt.lagged.Load()) })
+	r.CounterFunc("tensorbase_router_lagged_total", "replicas skipped because their committed CSN was below the session floor", func() float64 { return float64(rt.lagged.Load()) })
 	return rt
 }
 
@@ -90,7 +90,12 @@ func (rt *Router) Route(ctx context.Context, sql string, minCSN uint64) (*engine
 		tried := 0
 		for i := 0; i < n && tried < 3; i++ {
 			node := rt.nodes[(start+uint64(i))%uint64(n)]
-			if !node.Healthy() || node.AppliedCSN() < minCSN {
+			if !node.Healthy() {
+				continue
+			}
+			db := node.DB()
+			if db.CheckFloor(minCSN) != nil {
+				rt.lagged.Add(1)
 				continue
 			}
 			if tried > 0 {
@@ -100,18 +105,8 @@ func (rt *Router) Route(ctx context.Context, sql string, minCSN uint64) (*engine
 				}
 			}
 			tried++
-			res, err := node.DB().QueryContext(ctx, sql)
+			res, err := db.QueryContext(ctx, sql)
 			if err == nil {
-				if res.SnapshotCSN < minCSN {
-					// The eligibility check above saw AppliedCSN >= minCSN,
-					// but the node raced below the floor before the query
-					// pinned its snapshot (crash/reopen, resync rewind, a
-					// throttled apply loop). These rows are stale for this
-					// session — discard them and retry elsewhere rather
-					// than break read-your-writes.
-					rt.lagged.Add(1)
-					continue
-				}
 				rt.replicaReads.Add(1)
 				return res, node.Name(), nil
 			}

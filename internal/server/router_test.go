@@ -19,14 +19,11 @@ type fakeNode struct {
 	name    string
 	db      *engine.DB
 	healthy atomic.Bool
-	applied atomic.Uint64
-	queries atomic.Int64
 }
 
-func (n *fakeNode) Name() string       { return n.name }
-func (n *fakeNode) DB() *engine.DB     { return n.db }
-func (n *fakeNode) AppliedCSN() uint64 { return n.applied.Load() }
-func (n *fakeNode) Healthy() bool      { return n.healthy.Load() }
+func (n *fakeNode) Name() string   { return n.name }
+func (n *fakeNode) DB() *engine.DB { return n.db }
+func (n *fakeNode) Healthy() bool  { return n.healthy.Load() }
 
 func newFakeNode(t *testing.T, name string) *fakeNode {
 	t.Helper()
@@ -68,11 +65,10 @@ func TestIsRead(t *testing.T) {
 }
 
 // TestRouteDiscardsStaleSnapshot is the regression for the floor race: a
-// replica whose AppliedCSN *claims* eligibility (a throttled apply loop
-// reporting optimistically, or a crash/reopen between the eligibility
-// check and the query) but whose engine pins a snapshot below the
-// session's floor. Route must discard those rows — they are stale for this
-// session — and serve from a node that satisfies the floor.
+// healthy replica whose *engine* is behind the session's floor (a throttled
+// apply loop, or a crash/reopen that recovered to an earlier CSN). Route
+// must not serve its rows — they are stale for this session — and must
+// serve from a node that satisfies the floor.
 func TestRouteDiscardsStaleSnapshot(t *testing.T) {
 	primary, err := engine.Open(filepath.Join(t.TempDir(), "p.db"), engine.Options{})
 	if err != nil {
@@ -87,13 +83,12 @@ func TestRouteDiscardsStaleSnapshot(t *testing.T) {
 	}
 	floor := primary.CommittedCSN()
 
-	// The throttled replica has the table but not the row, yet its health
-	// endpoint claims it has applied far past the session's floor.
+	// The throttled replica is healthy and has the table, but its engine
+	// has not applied the row.
 	n := newFakeNode(t, "r1")
 	if _, err := n.db.Exec("CREATE TABLE t (a INT)"); err != nil {
 		t.Fatal(err)
 	}
-	n.applied.Store(floor + 100)
 	rt := NewRouter(primary, []ReadNode{n}, fastRetry())
 
 	res, node, err := rt.Route(context.Background(), "SELECT a FROM t", floor)
@@ -300,16 +295,21 @@ func TestServerRoutesReadsThroughRouter(t *testing.T) {
 		t.Fatalf("write reply = %d %+v, want no node (primary, unrouted)", code, qr)
 	}
 	sid := qr.Session
+	if qr, code = post(t, ts.URL, sid, "INSERT INTO t VALUES (1)"); code != http.StatusOK {
+		t.Fatalf("insert reply = %d %+v", code, qr)
+	}
 
-	// The write advanced the session's floor past the stale replica: the
-	// read must answer from the primary.
+	// The INSERT advanced the session's floor past the replica's engine:
+	// the read must answer from the primary.
 	qr, code = post(t, ts.URL, sid, "SELECT a FROM t")
 	if code != http.StatusOK || qr.Node != "primary" {
 		t.Fatalf("read-your-writes reply = %d %+v, want node=primary", code, qr)
 	}
 
-	// Once the replica reports having applied the write, reads route to it.
-	n.applied.Store(db.CommittedCSN())
+	// Once the replica has applied the write, reads route to it.
+	if _, err := n.db.Exec("INSERT INTO t VALUES (1)"); err != nil {
+		t.Fatal(err)
+	}
 	qr, code = post(t, ts.URL, sid, "SELECT a FROM t")
 	if code != http.StatusOK || qr.Node != "r1" {
 		t.Fatalf("routed read reply = %d %+v, want node=r1", code, qr)

@@ -130,7 +130,7 @@ type session struct {
 
 	lastUsed  atomic.Int64  // unix nanos
 	seq       atomic.Int64  // statements executed
-	lastWrite atomic.Uint64 // committed CSN of the session's last write (read-your-writes floor)
+	lastWrite atomic.Uint64 // committed CSN of the session's last routed write (the router's floor)
 
 	// shardSess carries per-shard read-your-writes floors when the server
 	// fronts a cluster: one CSN floor per shard rather than one global
@@ -349,12 +349,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		res, qerr = s.cluster.Exec(r.Context(), req.SQL, sess.shardSess)
 		node = "cluster"
-	case IsRead(req.SQL) && s.router != nil:
+	case s.router == nil:
+		res, qerr = s.db.QueryContext(r.Context(), req.SQL)
+	case IsRead(req.SQL):
 		res, node, qerr = s.router.Route(r.Context(), req.SQL, sess.lastWrite.Load())
 	default:
-		isRead := IsRead(req.SQL)
 		res, qerr = s.db.QueryContext(r.Context(), req.SQL)
-		if qerr == nil && !isRead {
+		if qerr == nil {
 			// The committed horizon is ≥ this write's CSN: a conservative
 			// read-your-writes floor.
 			sess.lastWrite.Store(s.db.CommittedCSN())
@@ -367,7 +368,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	if qerr != nil {
 		s.errors.Add(1)
-		if errors.Is(qerr, shard.ErrUnavailable) || errors.Is(qerr, shard.ErrLag) {
+		if errors.Is(qerr, shard.ErrUnavailable) || errors.Is(qerr, engine.ErrLag) {
 			// A down or lagging shard is a serving-capacity condition, not
 			// a statement error: refuse retriably like any other overload.
 			s.reject(w, sess.id, s.rejShard, qerr.Error())

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -64,6 +65,62 @@ func newShardedServer(t *testing.T, shards, rows int) (*httptest.Server, *Server
 		t.Fatal(err)
 	}
 	return ts, srv, cl
+}
+
+// laggingNode is a shard whose engine never reaches a session's floor:
+// every read fails with a wrapped engine.ErrLag.
+type laggingNode struct{ *shard.LocalNode }
+
+func (n laggingNode) Query(context.Context, string, uint64) (*engine.Result, error) {
+	return nil, fmt.Errorf("%w: %s held behind", engine.ErrLag, n.Name())
+}
+
+// TestShardLagIsRetriable503: a scatter that meets a lagging shard is
+// refused retriably — 503 + Retry-After, counted under reason="shard" —
+// never served stale and never a statement error.
+func TestShardLagIsRetriable503(t *testing.T) {
+	anchor, err := engine.Open(filepath.Join(t.TempDir(), "anchor"), engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { anchor.Close() })
+	nodes := make([]shard.Node, 2)
+	for i := range nodes {
+		ln, err := shard.NewLocalNode(fmt.Sprintf("shard-%d", i), filepath.Join(t.TempDir(), "shard"), engine.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ln.Close() })
+		nodes[i] = ln
+	}
+	nodes[1] = laggingNode{nodes[1].(*shard.LocalNode)}
+	cl, err := shard.NewCluster(nodes, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(anchor, Options{})
+	srv.SetCluster(cl)
+	mux := http.NewServeMux()
+	srv.Attach(mux)
+	ts := httptest.NewServer(mux)
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
+
+	if qr, code := post(t, ts.URL, "", "CREATE TABLE demo (id INT, a INT)"); code != http.StatusOK {
+		t.Fatalf("create: %d %+v", code, qr)
+	}
+	resp := postRaw(t, ts.URL, "", "SELECT COUNT(*) FROM demo")
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("scatter over a lagging shard = %d, want 503", resp.StatusCode)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("lag 503 missing Retry-After")
+	}
+	if got := anchor.Metrics().Counter(`tensorbase_http_rejected_total{reason="shard"}`); got != 1 {
+		t.Fatalf("shard rejection counter = %d, want 1", got)
+	}
 }
 
 // idOnShard returns the first id in [0, rows) hashing to the given shard.

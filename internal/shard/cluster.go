@@ -172,31 +172,60 @@ func (c *Cluster) Exec(ctx context.Context, sqlText string, sess *Session) (*eng
 	}
 }
 
-// broadcastExec runs one write statement on every shard in parallel and
-// folds the results. Any failure fails the statement (shards that already
-// applied it stay applied — broadcast DDL is not atomic across shards).
-func (c *Cluster) broadcastExec(ctx context.Context, sqlText string, sess *Session) (*engine.Result, error) {
-	results := make([]*engine.Result, len(c.nodes))
-	csns := make([]uint64, len(c.nodes))
+// fanOut runs f on every node in parallel and returns the first failure in
+// shard order, as "shard NAME: err".
+func (c *Cluster) fanOut(f func(i int, n Node) error) error {
 	errs := make([]error, len(c.nodes))
 	var wg sync.WaitGroup
 	for i, n := range c.nodes {
 		wg.Add(1)
-		go func(i int, n Node) {
+		go func() {
 			defer wg.Done()
-			results[i], csns[i], errs[i] = n.Exec(ctx, sqlText)
-		}(i, n)
+			errs[i] = f(i, n)
+		}()
 	}
 	wg.Wait()
-	total := &engine.Result{}
-	for i := range c.nodes {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("shard %s: %w", c.nodes[i].Name(), errs[i])
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("shard %s: %w", c.nodes[i].Name(), err)
 		}
-		sess.observe(i, csns[i])
-		total.RowsAffected += results[i].RowsAffected
+	}
+	return nil
+}
+
+// execEach runs stmt(i) on shard i for every shard in parallel, skipping
+// shards whose statement is "", raises the session's floor on each shard
+// that commits, and sums the affected rows. Any failure fails the statement
+// (shards that already applied theirs stay applied — broadcast DDL and
+// split INSERTs are not atomic across shards).
+func (c *Cluster) execEach(ctx context.Context, sess *Session, stmt func(i int) string) (*engine.Result, error) {
+	affected := make([]int64, len(c.nodes))
+	err := c.fanOut(func(i int, n Node) error {
+		text := stmt(i)
+		if text == "" {
+			return nil
+		}
+		res, csn, err := n.Exec(ctx, text)
+		if err != nil {
+			return err
+		}
+		sess.observe(i, csn)
+		affected[i] = res.RowsAffected
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	total := &engine.Result{}
+	for _, a := range affected {
+		total.RowsAffected += a
 	}
 	return total, nil
+}
+
+// broadcastExec runs one write statement on every shard.
+func (c *Cluster) broadcastExec(ctx context.Context, sqlText string, sess *Session) (*engine.Result, error) {
+	return c.execEach(ctx, sess, func(int) string { return sqlText })
 }
 
 // createTable broadcasts the DDL and records the placement: the first
@@ -241,33 +270,16 @@ func (c *Cluster) insert(ctx context.Context, st *sql.Insert, sess *Session) (*e
 		i := ShardOf(key, len(c.nodes))
 		parts[i] = append(parts[i], row)
 	}
-	results := make([]*engine.Result, len(c.nodes))
-	csns := make([]uint64, len(c.nodes))
-	errs := make([]error, len(c.nodes))
-	var wg sync.WaitGroup
-	for i := range c.nodes {
+	res, err := c.execEach(ctx, sess, func(i int) string {
 		if len(parts[i]) == 0 {
-			continue
+			return ""
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sub := sql.Render(&sql.Insert{Table: st.Table, Rows: parts[i]})
-			results[i], csns[i], errs[i] = c.nodes[i].Exec(ctx, sub)
-		}(i)
+		return sql.Render(&sql.Insert{Table: st.Table, Rows: parts[i]})
+	})
+	if err != nil {
+		return nil, fmt.Errorf("insert split partially applied: %w", err)
 	}
-	wg.Wait()
-	total := &engine.Result{}
-	for i := range c.nodes {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("shard %s (insert split partially applied): %w", c.nodes[i].Name(), errs[i])
-		}
-		if results[i] != nil {
-			sess.observe(i, csns[i])
-			total.RowsAffected += results[i].RowsAffected
-		}
-	}
-	return total, nil
+	return res, nil
 }
 
 // Select plans and runs one read. A WHERE that pins the shard key with `=`
@@ -306,39 +318,24 @@ func (c *Cluster) Select(ctx context.Context, st *sql.Select, sess *Session) (*e
 // shard order.
 func (c *Cluster) scatter(ctx context.Context, sqlText string, sess *Session) ([]*engine.Result, error) {
 	results := make([]*engine.Result, len(c.nodes))
-	errs := make([]error, len(c.nodes))
-	var wg sync.WaitGroup
-	for i, n := range c.nodes {
-		wg.Add(1)
-		go func(i int, n Node) {
-			defer wg.Done()
-			results[i], errs[i] = n.Query(ctx, sqlText, sess.floor(i))
-		}(i, n)
-	}
-	wg.Wait()
-	for i := range c.nodes {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("shard %s: %w", c.nodes[i].Name(), errs[i])
-		}
+	err := c.fanOut(func(i int, n Node) error {
+		var err error
+		results[i], err = n.Query(ctx, sqlText, sess.floor(i))
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return results, nil
 }
 
-// mergeResult collects a merge operator tree into a Result. The reported
-// snapshot is the minimum across shards — the conservative bound a
-// floor re-check may hold against.
-func mergeResult(op exec.Operator, results []*engine.Result) (*engine.Result, error) {
+// mergeResult collects a merge operator tree into a Result.
+func mergeResult(op exec.Operator) (*engine.Result, error) {
 	rows, err := exec.Collect(op)
 	if err != nil {
 		return nil, err
 	}
-	snap := ^uint64(0)
-	for _, r := range results {
-		if r.SnapshotCSN < snap {
-			snap = r.SnapshotCSN
-		}
-	}
-	return &engine.Result{Schema: op.Schema(), Rows: rows, SnapshotCSN: snap}, nil
+	return &engine.Result{Schema: op.Schema(), Rows: rows}, nil
 }
 
 // scatterScan pushes the whole SELECT (filter, PREDICT, projection, order,
@@ -372,7 +369,7 @@ func (c *Cluster) scatterScan(ctx context.Context, st *sql.Select, sess *Session
 	if st.Limit >= 0 {
 		op = exec.NewLimit(op, st.Limit)
 	}
-	return mergeResult(op, results)
+	return mergeResult(op)
 }
 
 // scatterAggregate decomposes the aggregate into per-shard partials and a
@@ -466,7 +463,7 @@ func (c *Cluster) scatterAggregate(ctx context.Context, st *sql.Select, sess *Se
 	if st.Limit >= 0 {
 		op = exec.NewLimit(op, st.Limit)
 	}
-	return mergeResult(op, results)
+	return mergeResult(op)
 }
 
 // selectCTE materialises the referenced CTE body through the cluster
@@ -496,12 +493,7 @@ func (c *Cluster) selectCTE(ctx context.Context, st *sql.Select, sess *Session) 
 	}
 	outer := *st
 	outer.With = nil
-	res, err := engine.RunMemSelect(&outer, inner.Schema, inner.Rows)
-	if err != nil {
-		return nil, err
-	}
-	res.SnapshotCSN = inner.SnapshotCSN
-	return res, nil
+	return engine.RunMemSelect(&outer, inner.Schema, inner.Rows)
 }
 
 // Nearest scatters a top-k vector search and merges by distance: the
@@ -516,21 +508,13 @@ func (c *Cluster) Nearest(ctx context.Context, tbl, col string, query []float32,
 		dists  []float64
 	}
 	parts := make([]part, len(c.nodes))
-	errs := make([]error, len(c.nodes))
-	var wg sync.WaitGroup
-	for i, n := range c.nodes {
-		wg.Add(1)
-		go func(i int, n Node) {
-			defer wg.Done()
-			s, rows, dists, err := n.Nearest(ctx, tbl, col, query, k, sess.floor(i))
-			parts[i], errs[i] = part{s, rows, dists}, err
-		}(i, n)
-	}
-	wg.Wait()
-	for i := range c.nodes {
-		if errs[i] != nil {
-			return nil, nil, fmt.Errorf("shard %s: %w", c.nodes[i].Name(), errs[i])
-		}
+	err := c.fanOut(func(i int, n Node) error {
+		s, rows, dists, err := n.Nearest(ctx, tbl, col, query, k, sess.floor(i))
+		parts[i] = part{s, rows, dists}
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	type cand struct {
 		shard, pos int
@@ -559,44 +543,24 @@ func (c *Cluster) Nearest(ctx context.Context, tbl, col string, query []float32,
 // LoadModel broadcasts a model to every shard, so pushed-down PREDICT
 // subplans run next to their slice of the data.
 func (c *Cluster) LoadModel(m *nn.Model, accuracy float64) error {
-	errs := make([]error, len(c.nodes))
-	var wg sync.WaitGroup
-	for i, n := range c.nodes {
-		wg.Add(1)
-		go func(i int, n Node) {
-			defer wg.Done()
-			errs[i] = n.LoadModel(m, accuracy)
-		}(i, n)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("shard %s: %w", c.nodes[i].Name(), err)
-		}
-	}
-	return nil
+	return c.fanOut(func(_ int, n Node) error { return n.LoadModel(m, accuracy) })
 }
 
 // CreateVectorIndex broadcasts an ANN index build and returns the total
 // indexed row count.
 func (c *Cluster) CreateVectorIndex(tbl, col string) (int, error) {
 	counts := make([]int, len(c.nodes))
-	errs := make([]error, len(c.nodes))
-	var wg sync.WaitGroup
-	for i, n := range c.nodes {
-		wg.Add(1)
-		go func(i int, n Node) {
-			defer wg.Done()
-			counts[i], errs[i] = n.CreateVectorIndex(tbl, col)
-		}(i, n)
+	err := c.fanOut(func(i int, n Node) error {
+		var err error
+		counts[i], err = n.CreateVectorIndex(tbl, col)
+		return err
+	})
+	if err != nil {
+		return 0, err
 	}
-	wg.Wait()
 	total := 0
-	for i, err := range errs {
-		if err != nil {
-			return 0, fmt.Errorf("shard %s: %w", c.nodes[i].Name(), err)
-		}
-		total += counts[i]
+	for _, k := range counts {
+		total += k
 	}
 	return total, nil
 }

@@ -298,7 +298,7 @@ func TestSessionFloors(t *testing.T) {
 
 	// A floor the shard has not reached yet is a typed, retriable lag.
 	node := cl.Nodes()[owner]
-	if _, err := node.Query(ctx, "SELECT id FROM tx", sess.floor(owner)+1000); !errors.Is(err, ErrLag) {
+	if _, err := node.Query(ctx, "SELECT id FROM tx", sess.floor(owner)+1000); !errors.Is(err, engine.ErrLag) {
 		t.Fatalf("future floor = %v, want ErrLag", err)
 	}
 }

@@ -13,13 +13,13 @@ import (
 
 // Node is one shard's serving endpoint, local or remote. floor is the
 // session's read-your-writes floor for this shard: the minimum committed
-// CSN the read's snapshot must include. Reads against a snapshot below the
-// floor fail with ErrLag; a down node fails with ErrUnavailable.
+// CSN the read's snapshot must include. It is checked once, on the DB that
+// serves the read; a shard behind it fails with engine.ErrLag, and a down
+// node fails with ErrUnavailable.
 type Node interface {
 	Name() string
 
-	// Query runs one read-only statement and returns its rows plus the
-	// snapshot CSN the statement actually pinned (>= floor on success).
+	// Query runs one read-only statement on a snapshot at or past floor.
 	Query(ctx context.Context, sqlText string, floor uint64) (*engine.Result, error)
 
 	// Exec runs one write statement and returns its result plus the
@@ -129,16 +129,14 @@ func (n *LocalNode) live() (*engine.DB, error) {
 	return n.db.Load(), nil
 }
 
-// Query implements Node. The floor is checked twice: before the query for
-// an early retriable error, and after against the snapshot the query
-// actually pinned — the pre-check alone races with concurrent restarts.
+// Query implements Node.
 func (n *LocalNode) Query(ctx context.Context, sqlText string, floor uint64) (*engine.Result, error) {
 	db, err := n.live()
 	if err != nil {
 		return nil, err
 	}
-	if db.CommittedCSN() < floor {
-		return nil, fmt.Errorf("%w: %s at %d, floor %d", ErrLag, n.name, db.CommittedCSN(), floor)
+	if err := db.CheckFloor(floor); err != nil {
+		return nil, err
 	}
 	res, err := db.QueryContext(ctx, sqlText)
 	if err != nil {
@@ -146,9 +144,6 @@ func (n *LocalNode) Query(ctx context.Context, sqlText string, floor uint64) (*e
 			return nil, fmt.Errorf("%w: %s died mid-query: %v", ErrUnavailable, n.name, err)
 		}
 		return nil, err
-	}
-	if res.SnapshotCSN < floor {
-		return nil, fmt.Errorf("%w: %s pinned %d, floor %d", ErrLag, n.name, res.SnapshotCSN, floor)
 	}
 	return res, nil
 }
@@ -175,8 +170,8 @@ func (n *LocalNode) Nearest(ctx context.Context, tbl, col string, query []float3
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if db.CommittedCSN() < floor {
-		return nil, nil, nil, fmt.Errorf("%w: %s, floor %d", ErrLag, n.name, floor)
+	if err := db.CheckFloor(floor); err != nil {
+		return nil, nil, nil, err
 	}
 	rows, dists, err := db.Nearest(tbl, col, query, k)
 	if err != nil {

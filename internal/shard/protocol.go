@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 
+	"tensorbase/internal/engine"
 	"tensorbase/internal/table"
 	"tensorbase/internal/wire"
 )
@@ -123,22 +124,18 @@ func decodeRowsFrame(s *table.Schema, buf []byte) ([]table.Tuple, error) {
 }
 
 // encodeDone builds the terminal frame of a successful response.
-func encodeDone(rowsAffected int64, snapshotCSN, committedCSN uint64) []byte {
-	buf := make([]byte, 0, 1+24)
+func encodeDone(rowsAffected int64, committedCSN uint64) []byte {
+	buf := make([]byte, 0, 1+16)
 	buf = append(buf, respDone)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(rowsAffected))
-	buf = binary.LittleEndian.AppendUint64(buf, snapshotCSN)
-	buf = binary.LittleEndian.AppendUint64(buf, committedCSN)
-	return buf
+	return binary.LittleEndian.AppendUint64(buf, committedCSN)
 }
 
-func decodeDone(buf []byte) (rowsAffected int64, snapshotCSN, committedCSN uint64, err error) {
-	if len(buf) != 24 {
-		return 0, 0, 0, errors.New("shard: bad done frame")
+func decodeDone(buf []byte) (rowsAffected int64, committedCSN uint64, err error) {
+	if len(buf) != 16 {
+		return 0, 0, errors.New("shard: bad done frame")
 	}
-	return int64(binary.LittleEndian.Uint64(buf)),
-		binary.LittleEndian.Uint64(buf[8:]),
-		binary.LittleEndian.Uint64(buf[16:]), nil
+	return int64(binary.LittleEndian.Uint64(buf)), binary.LittleEndian.Uint64(buf[8:]), nil
 }
 
 // encodeErr wraps an error for the wire, preserving its retriability class.
@@ -147,7 +144,7 @@ func encodeErr(err error) []byte {
 	switch {
 	case errors.Is(err, ErrUnavailable):
 		code = errUnavailable
-	case errors.Is(err, ErrLag):
+	case errors.Is(err, engine.ErrLag):
 		code = errLag
 	}
 	return append([]byte{respErr, code}, err.Error()...)
@@ -164,7 +161,7 @@ func decodeErr(buf []byte) error {
 	case errUnavailable:
 		return fmt.Errorf("%w: %s", ErrUnavailable, msg)
 	case errLag:
-		return fmt.Errorf("%w: %s", ErrLag, msg)
+		return fmt.Errorf("%w: %s", engine.ErrLag, msg)
 	default:
 		return errors.New(msg)
 	}

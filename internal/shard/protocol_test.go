@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"tensorbase/internal/engine"
 	"tensorbase/internal/table"
 )
 
@@ -83,11 +84,11 @@ func FuzzShardDecode(f *testing.F) {
 			return encodeDistsFrame(d)[1:], nil
 		},
 		"done": func(b []byte) ([]byte, error) {
-			rows, snap, committed, err := decodeDone(b)
+			rows, committed, err := decodeDone(b)
 			if err != nil {
 				return nil, err
 			}
-			return encodeDone(rows, snap, committed)[1:], nil
+			return encodeDone(rows, committed)[1:], nil
 		},
 		"nearest": func(b []byte) ([]byte, error) {
 			tbl, col, query, k, floor, err := decodeNearestReq(b)
@@ -115,9 +116,9 @@ func FuzzShardDecode(f *testing.F) {
 	f.Add(encodeSchema(nil, schema))
 	f.Add(rows[1:])
 	f.Add(encodeDistsFrame([]float64{0.5, math.Inf(1), 3})[1:])
-	f.Add(encodeDone(12, 34, 56)[1:])
+	f.Add(encodeDone(12, 56)[1:])
 	f.Add(encodeErr(fmt.Errorf("%w: shard-2 down", ErrUnavailable))[1:])
-	f.Add(encodeErr(ErrLag)[1:])
+	f.Add(encodeErr(engine.ErrLag)[1:])
 	f.Add(encodeNearestReq("tx", "f", []float32{0.25, -1}, 5, 9)[1:])
 	f.Add(encodeVIndexReq("tx", "f")[1:])
 	f.Add(wrappingNearest())

@@ -33,18 +33,6 @@ func NewRemoteNode(name, addr string) *RemoteNode {
 	return n
 }
 
-// NewRemoteNodeDialer is NewRemoteNode over a custom dialer (tests use
-// in-memory pipes).
-func NewRemoteNodeDialer(name string, dial func() (net.Conn, error)) *RemoteNode {
-	return &RemoteNode{name: name, dial: dial, timeout: 2 * time.Second, retries: 5}
-}
-
-// SetTimeout sets the per-attempt deadline (partition detector).
-func (n *RemoteNode) SetTimeout(d time.Duration) { n.timeout = d }
-
-// SetRetries sets how many fresh connections a read may burn.
-func (n *RemoteNode) SetRetries(k int) { n.retries = k }
-
 // Name implements Node.
 func (n *RemoteNode) Name() string { return n.name }
 
@@ -57,7 +45,6 @@ type wireResp struct {
 	rows         []table.Tuple
 	dists        []float64
 	rowsAffected int64
-	snapshotCSN  uint64
 	committedCSN uint64
 }
 
@@ -114,7 +101,7 @@ func (n *RemoteNode) attempt(ctx context.Context, req []byte) (resp *wireResp, a
 			}
 			r.dists = append(r.dists, d...)
 		case respDone:
-			r.rowsAffected, r.snapshotCSN, r.committedCSN, err = decodeDone(body)
+			r.rowsAffected, r.committedCSN, err = decodeDone(body)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -158,12 +145,7 @@ func (n *RemoteNode) Query(ctx context.Context, sqlText string, floor uint64) (*
 	if resp.schema == nil {
 		return nil, fmt.Errorf("shard: %s returned no schema", n.name)
 	}
-	return &engine.Result{
-		Schema:       resp.schema,
-		Rows:         resp.rows,
-		RowsAffected: resp.rowsAffected,
-		SnapshotCSN:  resp.snapshotCSN,
-	}, nil
+	return &engine.Result{Schema: resp.schema, Rows: resp.rows, RowsAffected: resp.rowsAffected}, nil
 }
 
 // Exec implements Node.
@@ -172,7 +154,7 @@ func (n *RemoteNode) Exec(ctx context.Context, sqlText string) (*engine.Result, 
 	if err != nil {
 		return nil, 0, err
 	}
-	return &engine.Result{RowsAffected: resp.rowsAffected, SnapshotCSN: resp.snapshotCSN}, resp.committedCSN, nil
+	return &engine.Result{RowsAffected: resp.rowsAffected}, resp.committedCSN, nil
 }
 
 // Nearest implements Node.

@@ -38,8 +38,7 @@ func newRemoteCluster(t *testing.T, n, rows int, links []*fault.Link) *Cluster {
 		srv := Serve(ln, local, link)
 		t.Cleanup(func() { srv.Close() })
 		rn := NewRemoteNode(fmt.Sprintf("shard-%d", i), ln.Addr().String())
-		rn.SetTimeout(300 * time.Millisecond)
-		rn.SetRetries(30)
+		rn.timeout, rn.retries = 300*time.Millisecond, 30
 		nodes[i] = rn
 	}
 	cl, err := NewCluster(nodes, nil)
@@ -120,8 +119,7 @@ func TestRemotePartition(t *testing.T) {
 	// Shorten the partition detection so the test stays fast.
 	for _, n := range cl.Nodes() {
 		rn := n.(*RemoteNode)
-		rn.SetTimeout(100 * time.Millisecond)
-		rn.SetRetries(2)
+		rn.timeout, rn.retries = 100*time.Millisecond, 2
 	}
 
 	// Find ids owned by each shard, plus an unused id owned by the

@@ -109,7 +109,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if !sendRows(fc, res.Schema, res.Rows) {
 			return
 		}
-		fc.Send(encodeDone(res.RowsAffected, res.SnapshotCSN, 0))
+		fc.Send(encodeDone(res.RowsAffected, 0))
 
 	case reqExec:
 		res, committed, err := s.node.Exec(ctx, string(body))
@@ -117,7 +117,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			fc.Send(encodeErr(err))
 			return
 		}
-		fc.Send(encodeDone(res.RowsAffected, res.SnapshotCSN, committed))
+		fc.Send(encodeDone(res.RowsAffected, committed))
 
 	case reqNearest:
 		tbl, col, query, k, floor, err := decodeNearestReq(body)
@@ -139,7 +139,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if fc.Send(encodeDistsFrame(dists)) != nil {
 			return
 		}
-		fc.Send(encodeDone(int64(len(rows)), 0, 0))
+		fc.Send(encodeDone(int64(len(rows)), 0))
 
 	case reqLoadModel:
 		if len(body) < 8 {
@@ -155,7 +155,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			fc.Send(encodeErr(err))
 			return
 		}
-		fc.Send(encodeDone(0, 0, 0))
+		fc.Send(encodeDone(0, 0))
 
 	case reqVIndex:
 		tbl, col, err := decodeVIndexReq(body)
@@ -168,6 +168,6 @@ func (s *Server) serveConn(conn net.Conn) {
 			fc.Send(encodeErr(err))
 			return
 		}
-		fc.Send(encodeDone(int64(n), 0, 0))
+		fc.Send(encodeDone(int64(n), 0))
 	}
 }

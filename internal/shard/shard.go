@@ -21,9 +21,9 @@
 //
 // Sessions keep a per-shard read-your-writes floor: each write records the
 // CSN the owning shard committed, and later reads require that shard's
-// snapshot to have caught up — enforced again after the query against the
-// snapshot it actually pinned, so a floor race returns a retriable lag
-// error rather than stale rows.
+// engine to have caught up. The floor is checked once, on the DB that
+// serves the read (engine.CheckFloor); a shard behind it returns the
+// retriable engine.ErrLag rather than stale rows.
 package shard
 
 import (
@@ -40,11 +40,6 @@ import (
 // failing across retries. It is retriable: the serving layer maps it to a
 // 503 with a Retry-After hint.
 var ErrUnavailable = errors.New("shard: node unavailable")
-
-// ErrLag reports a shard whose committed snapshot has not caught up to the
-// session's read-your-writes floor. Retriable: retry after the shard
-// applies the write.
-var ErrLag = errors.New("shard: snapshot behind session floor")
 
 // HashValue hashes a shard-key value deterministically (FNV-1a over the
 // value's canonical little-endian bytes). The same value always lands on
