@@ -217,6 +217,9 @@ type DB struct {
 	// mSnapshotReads counts read statements served lock-free off a
 	// pinned snapshot.
 	mSnapshotReads *obs.Counter
+	// mIndexLookups counts the reads among them that went through a heap's
+	// key index (`WHERE firstcol = k`) instead of scanning it.
+	mIndexLookups *obs.Counter
 
 	// ckptInfo carries the last checkpoint's recovery inputs from
 	// loadCatalog to recover (nil on a fresh database or a v1 meta).
@@ -353,6 +356,7 @@ func (db *DB) registerMetrics() {
 	r.GaugeFunc("tensorbase_disk_free_pages", "pages currently on the free list", func() float64 { _, _, n := db.disk.FreeStats(); return float64(n) })
 
 	db.mSnapshotReads = r.Counter("tensorbase_snapshot_reads_total", "read statements served lock-free off a pinned MVCC snapshot")
+	db.mIndexLookups = r.Counter("tensorbase_index_lookups_total", "read statements served by a key lookup instead of a heap scan")
 	r.CounterFunc("tensorbase_wal_appends_total", "WAL records appended", func() float64 { return float64(db.wal.Stats().Appends) })
 	r.CounterFunc("tensorbase_wal_bytes_total", "WAL bytes appended (framed)", func() float64 { return float64(db.wal.Stats().Bytes) })
 	r.CounterFunc("tensorbase_wal_fsyncs_total", "WAL fsyncs issued", func() float64 { return float64(db.wal.Stats().Syncs) })

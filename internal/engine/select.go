@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"tensorbase/internal/exec"
 	"tensorbase/internal/lifecycle"
@@ -24,8 +25,8 @@ func (db *DB) ExecProfiled(sqlText string) (*Result, []exec.StageStat, error) {
 	return db.exec(context.Background(), sqlText, true)
 }
 
-// runSelect compiles and runs a SELECT: heap scan → filter → optional
-// PREDICT inference operator → projection → order → limit. Every
+// runSelect compiles and runs a SELECT: heap scan (or key lookup) → filter →
+// optional PREDICT inference operator → projection → order → limit. Every
 // cancellation-aware operator in the tree observes tok.
 //
 // SELECT (including PREDICT) is the lock-free serving path: the statement
@@ -71,10 +72,19 @@ func (db *DB) runSelect(st *sql.Select, profile bool, tok *lifecycle.Token) (*Re
 		}
 		defer te.Heap.EndRead()
 		db.mSnapshotReads.Inc()
-		scan := exec.NewHeapScanAt(te.Heap, db.snapshotCSN())
-		scan.SetCancel(tok)
 		srcSchema = te.Heap.Schema()
-		op = wrap("scan", scan)
+		snap := db.snapshotCSN()
+		// `WHERE firstcol = k` reads the heap's key index instead of every
+		// page. The filter below still runs over the lookup's rows, so it
+		// stays the one authority on the predicate; the stage keeps the
+		// name "scan" because it is the same storage access layer.
+		var src exec.Operator = exec.NewHeapScanAt(te.Heap, snap)
+		if key, ok := indexKey(st, srcSchema); ok {
+			db.mIndexLookups.Inc()
+			src = exec.NewHeapLookupAt(te.Heap, key, snap)
+		}
+		exec.SetCancel(src, tok)
+		op = wrap("scan", src)
 		if profile {
 			// Surface observability warnings (e.g. a stale vector index over
 			// this table) on the scan stage of the profile.
@@ -247,6 +257,29 @@ func cteIndex(st *sql.Select) int {
 		}
 	}
 	return -1
+}
+
+// indexKey reports whether st pins an INT first column with `=` to a
+// literal naming exactly one int64 — the predicate the heap's key index
+// answers. An integral DOUBLE literal qualifies only below 2^53 in
+// magnitude, where float64(v) == k holds for v == int64(k) alone.
+func indexKey(st *sql.Select, schema *table.Schema) (int64, bool) {
+	if schema.Len() == 0 || schema.Cols[0].Type != table.Int64 {
+		return 0, false
+	}
+	lit, ok := st.KeyPin(schema.Cols[0].Name)
+	if !ok {
+		return 0, false
+	}
+	switch v := lit.Value; v.Type {
+	case table.Int64:
+		return v.Int, true
+	case table.Float64:
+		if v.Float == math.Trunc(v.Float) && math.Abs(v.Float) < 1<<53 {
+			return int64(v.Float), true
+		}
+	}
+	return 0, false
 }
 
 // compileWhere builds a predicate for `col op literal`.

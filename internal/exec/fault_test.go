@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"tensorbase/internal/fault"
@@ -111,5 +113,45 @@ func TestExternalSortCancelledMidSpill(t *testing.T) {
 	}
 	if got := pool.Pinned(); got != 0 {
 		t.Fatalf("pinned frames after cancelled sort = %d, want 0", got)
+	}
+}
+
+// A key lookup over many duplicates streams row by row and observes the
+// cancellation token per row, like a scan; its stage note names the key
+// and the candidate count.
+func TestHeapLookupCancelledMidStream(t *testing.T) {
+	h, err := table.NewHeap(sortPool(t, 8), table.MustSchema(table.Column{Name: "id", Type: table.Int64}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5000; i++ {
+		if _, err := h.Insert(table.Tuple{table.IntVal(int64(i % 50 / 49))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	tok, stop := lifecycle.Watch(ctx)
+	defer stop()
+	l := NewHeapLookupAt(h, 0, table.CSNMax)
+	l.SetCancel(tok)
+	if err := l.Open(); err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for i := 0; i < 10; i++ {
+		if tup, ok, err := l.Next(); err != nil || !ok || tup[0].Int != 0 {
+			t.Fatalf("row %d = %v, %v, %v", i, tup, ok, err)
+		}
+	}
+	cancel()
+	for !tok.Canceled() {
+		runtime.Gosched()
+	}
+	if _, _, err := l.Next(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Next after cancel = %v, want context.Canceled", err)
+	}
+	if note := l.StageNote(); !strings.Contains(note, "index lookup id = 0 (4900 rids)") {
+		t.Fatalf("stage note %q", note)
 	}
 }

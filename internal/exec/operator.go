@@ -174,6 +174,60 @@ func (s *HeapScan) NextColBatch(cb *table.ColBatch) (int, error) {
 // Close implements Operator.
 func (s *HeapScan) Close() error { s.scan = nil; return nil }
 
+// HeapLookup produces the tuples of a heap whose first column equals one
+// key, through the heap's key index, against a pinned snapshot: the same
+// rows in the same order as a HeapScan under a `first column = key` filter,
+// without reading the pages of any other row.
+type HeapLookup struct {
+	heap *table.Heap
+	key  int64
+	snap uint64
+	look *table.Lookup
+	rids int // candidates the last Open found; survives Close for StageNote
+	tok  *lifecycle.Token
+}
+
+// NewHeapLookupAt returns a key lookup over h pinned to the snapshot csn.
+func NewHeapLookupAt(h *table.Heap, key int64, csn uint64) *HeapLookup {
+	return &HeapLookup{heap: h, key: key, snap: csn}
+}
+
+// Schema implements Operator.
+func (l *HeapLookup) Schema() *table.Schema { return l.heap.Schema() }
+
+// Open implements Operator.
+func (l *HeapLookup) Open() error {
+	look, err := l.heap.LookupAt(l.key, l.snap)
+	if err != nil {
+		return err
+	}
+	l.look, l.rids = look, look.Len()
+	return nil
+}
+
+// SetCancel implements Cancellable.
+func (l *HeapLookup) SetCancel(tok *lifecycle.Token) { l.tok = tok }
+
+// Next implements Operator. Cancellation is observed per row, so a key
+// with millions of duplicates streams and stops like a scan.
+func (l *HeapLookup) Next() (table.Tuple, bool, error) {
+	if err := l.tok.Err(); err != nil {
+		return nil, false, err
+	}
+	if l.look == nil {
+		return nil, false, fmt.Errorf("exec: HeapLookup.Next before Open")
+	}
+	return l.look.Next()
+}
+
+// Close implements Operator.
+func (l *HeapLookup) Close() error { l.look = nil; return nil }
+
+// StageNote implements Noter.
+func (l *HeapLookup) StageNote() string {
+	return fmt.Sprintf("index lookup %s = %d (%d rids)", l.heap.Schema().Cols[0].Name, l.key, l.rids)
+}
+
 // Predicate decides whether a tuple passes a filter.
 type Predicate func(table.Tuple) (bool, error)
 

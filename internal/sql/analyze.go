@@ -1,8 +1,9 @@
 package sql
 
-// Statement analysis used by the read router and the shard planner: which
-// statements are reads, whether a SELECT can be pinned to a single shard,
-// and what shape of merge its scatter needs.
+// Statement analysis used by the read router, the shard planner and the
+// engine's key lookups: which statements are reads, whether a SELECT pins
+// a key column (to a single shard, or to one heap key), and what shape of
+// merge its scatter needs.
 
 // ReadOnly reports whether the parsed statement only reads. This — not a
 // text-prefix check — is what routing must classify by: `WITH ... SELECT`,

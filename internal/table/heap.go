@@ -66,8 +66,9 @@ const MaxTupleSize = storage.MaxRecordSize - versionHdrSize
 //
 // Latching contract: the heap carries one reader/writer latch. Insert and
 // InsertRecord take it exclusively — they mutate the tail page's bytes, the
-// chain pointers, and the row count, so writers serialise. Get, GetInto,
-// Scanner.Next, RIDs, and Count take it shared, so any number of readers
+// chain pointers, the row count and the key index, so writers serialise (as
+// does the one LookupAt that builds the index). Get, GetInto, Scanner.Next,
+// Lookup.Next, RIDs, and Count take it shared, so any number of readers
 // runs concurrently (with each other, and with readers of other heaps on
 // the same buffer pool). Page pins protect resident bytes from eviction;
 // the latch is what keeps a reader from observing a half-applied insert
@@ -85,6 +86,15 @@ type Heap struct {
 	first  storage.PageID
 	last   storage.PageID
 	count  int64
+
+	// keys is the volatile key index behind LookupAt: the first column's
+	// INT value → the RIDs of every physically present record holding it,
+	// in scan order (records only append to the tail page and slots are
+	// never reused, so placement order is chain order). It is nil until the
+	// first LookupAt builds it from the pages; from then on InsertRecordAt
+	// and Rollback maintain it under mu, and ResetTail drops it. It is never
+	// logged: the pages are its only source of truth.
+	keys map[int64][]RID
 
 	// gate is held shared for the duration of a lock-free read statement
 	// and exclusively by DROP TABLE before page reclamation. It orders
@@ -193,7 +203,7 @@ func (h *Heap) InsertRecordAt(rec []byte, csn uint64) (RID, error) {
 	slot, err := page.Insert(stored)
 	if err == nil {
 		rid := RID{Page: h.last, Slot: slot}
-		h.count++
+		h.placed(rid, stored)
 		return rid, h.pool.Unpin(h.last, true)
 	}
 	if !errors.Is(err, storage.ErrPageFull) {
@@ -218,8 +228,30 @@ func (h *Heap) InsertRecordAt(rec []byte, csn uint64) (RID, error) {
 		return RID{}, err
 	}
 	h.last = newID
+	rid := RID{Page: newID, Slot: slot}
+	h.placed(rid, stored)
+	return rid, h.pool.Unpin(newID, true)
+}
+
+// placed accounts for a record just written at rid: the row count and,
+// once built, the key index. The caller holds mu exclusively.
+func (h *Heap) placed(rid RID, stored []byte) {
 	h.count++
-	return RID{Page: newID, Slot: slot}, h.pool.Unpin(newID, true)
+	if h.keys == nil {
+		return
+	}
+	if k, ok := recordKey(stored); ok {
+		h.keys[k] = append(h.keys[k], rid)
+	}
+}
+
+// recordKey reads the first-column key of a stored (version-prefixed)
+// record: its first 8 payload bytes, as an INT column encodes them.
+func recordKey(stored []byte) (int64, bool) {
+	if len(stored) < versionHdrSize+8 {
+		return 0, false
+	}
+	return int64(binary.LittleEndian.Uint64(stored[versionHdrSize:])), true
 }
 
 // Rollback physically removes the records an aborted statement inserted
@@ -235,6 +267,11 @@ func (h *Heap) Rollback(rids []RID) error {
 		if err != nil {
 			return err
 		}
+		if h.keys != nil {
+			if rec, ok, _ := f.Record(rid.Slot); ok {
+				h.unindex(rec, rid)
+			}
+		}
 		deleted := f.Page().Delete(rid.Slot)
 		if err := h.pool.Unpin(rid.Page, deleted); err != nil {
 			return err
@@ -244,6 +281,28 @@ func (h *Heap) Rollback(rids []RID) error {
 		}
 	}
 	return nil
+}
+
+// unindex removes rid from the key index entry of the stored record it
+// holds. Rolled-back rows are the newest, so the search runs from the end.
+// The caller holds mu exclusively.
+func (h *Heap) unindex(stored []byte, rid RID) {
+	k, ok := recordKey(stored)
+	if !ok {
+		return
+	}
+	list := h.keys[k]
+	for i := len(list) - 1; i >= 0; i-- {
+		if list[i] == rid {
+			list = append(list[:i], list[i+1:]...)
+			break
+		}
+	}
+	if len(list) == 0 {
+		delete(h.keys, k)
+	} else {
+		h.keys[k] = list
+	}
 }
 
 // Get fetches and decodes the tuple at rid.
@@ -286,38 +345,47 @@ func (h *Heap) RIDs() ([]RID, error) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	var out []RID
+	err := h.eachRecord(func(rid RID, rec []byte) error {
+		vis, err := visibleAt(rec, CSNMax)
+		if vis {
+			out = append(out, rid)
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// eachRecord calls fn, in scan order, with every physically present stored
+// record, whatever its visibility. The record aliases the pinned page and
+// is valid only during the call. The caller holds mu.
+func (h *Heap) eachRecord(fn func(RID, []byte) error) error {
 	page := h.first
 	for page != storage.InvalidPageID {
 		f, err := h.pool.Fetch(page)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		p := f.Page()
 		for slot := 0; slot < p.NumSlots(); slot++ {
-			rec, ok, rerr := p.Record(slot)
-			if rerr != nil {
+			rec, ok, err := p.Record(slot)
+			if err == nil && ok {
+				err = fn(RID{Page: page, Slot: slot}, rec)
+			}
+			if err != nil {
 				h.pool.Unpin(page, false)
-				return nil, fmt.Errorf("table: page %d slot %d: %w", page, slot, rerr)
-			}
-			if !ok {
-				continue
-			}
-			vis, verr := visibleAt(rec, CSNMax)
-			if verr != nil {
-				h.pool.Unpin(page, false)
-				return nil, fmt.Errorf("table: page %d slot %d: %w", page, slot, verr)
-			}
-			if vis {
-				out = append(out, RID{Page: page, Slot: slot})
+				return fmt.Errorf("table: page %d slot %d: %w", page, slot, err)
 			}
 		}
 		next := p.Next()
 		if err := h.pool.Unpin(page, false); err != nil {
-			return nil, err
+			return err
 		}
 		page = next
 	}
-	return out, nil
+	return nil
 }
 
 // Pages returns the heap's page chain in order, head first. DROP TABLE
@@ -365,9 +433,11 @@ func (h *Heap) LastSlots() (int, error) {
 // tail page keeps its first lastSlots slots and stops chaining, and the
 // row count is restored. Recovery calls it before WAL replay so replayed
 // inserts land exactly once; on a cleanly closed database it is a no-op.
+// The key index is dropped and rebuilt by the next LookupAt.
 func (h *Heap) ResetTail(lastSlots int, count int64) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	h.keys = nil
 	f, err := h.pool.Fetch(h.last)
 	if err != nil {
 		return err
@@ -470,4 +540,98 @@ func (s *Scanner) Next() (Tuple, bool, error) {
 		s.slot = 0
 	}
 	return nil, false, nil
+}
+
+// Lookup iterates the rows whose first column equals one key, against a
+// fixed snapshot CSN: the key-index twin of Scanner.
+type Lookup struct {
+	heap *Heap
+	snap uint64
+	rids []RID
+	pos  int
+}
+
+// LookupAt returns an iterator over the rows whose first (INT) column
+// equals key and that are visible at snapshot csn, in scan order: it yields
+// exactly what ScanAt(csn) filtered on that column yields. The first call
+// on a heap builds its key index.
+//
+// The key's RID list is copied once, here, after the caller pinned csn.
+// That copy is complete for csn because a row is placed in the heap and in
+// the index, under mu, before its statement's CSN publishes: every row
+// visible at csn is already listed. Rows placed later carry a CSN above
+// csn, and rows rolled back later read as deleted slots; Next skips both.
+func (h *Heap) LookupAt(key int64, csn uint64) (*Lookup, error) {
+	if h.schema.Len() == 0 || h.schema.Cols[0].Type != Int64 {
+		return nil, fmt.Errorf("table: key lookup needs an INT first column")
+	}
+	h.mu.RLock()
+	if h.keys != nil {
+		defer h.mu.RUnlock()
+		return &Lookup{heap: h, snap: csn, rids: append([]RID(nil), h.keys[key]...)}, nil
+	}
+	h.mu.RUnlock()
+
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.keys == nil {
+		keys := make(map[int64][]RID)
+		err := h.eachRecord(func(rid RID, rec []byte) error {
+			if k, ok := recordKey(rec); ok {
+				keys[k] = append(keys[k], rid)
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("table: building key index: %w", err)
+		}
+		h.keys = keys
+	}
+	return &Lookup{heap: h, snap: csn, rids: append([]RID(nil), h.keys[key]...)}, nil
+}
+
+// Len returns how many records held the key when the lookup began, visible
+// at its snapshot or not.
+func (l *Lookup) Len() int { return len(l.rids) }
+
+// Next returns the next visible tuple with the key, or ok=false at the end.
+// Each record is fetched under its own hold of the heap's read latch, so a
+// lookup over many duplicates interleaves with writers like a scan does.
+func (l *Lookup) Next() (Tuple, bool, error) {
+	for l.pos < len(l.rids) {
+		rid := l.rids[l.pos]
+		l.pos++
+		t, ok, err := l.heap.fetchVisible(rid, l.snap)
+		if err != nil || ok {
+			return t, ok, err
+		}
+	}
+	return nil, false, nil
+}
+
+// fetchVisible decodes the record at rid when it is present and visible at
+// snap; ok is false for a rolled-back slot or a row outside the snapshot.
+func (h *Heap) fetchVisible(rid RID, snap uint64) (Tuple, bool, error) {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	f, err := h.pool.Fetch(rid.Page)
+	if err != nil {
+		return nil, false, err
+	}
+	defer h.pool.Unpin(rid.Page, false)
+	rec, ok, err := f.Record(rid.Slot)
+	if err == nil && ok {
+		ok, err = visibleAt(rec, snap)
+	}
+	if err != nil {
+		return nil, false, fmt.Errorf("table: page %d slot %d: %w", rid.Page, rid.Slot, err)
+	}
+	if !ok {
+		return nil, false, nil
+	}
+	t, err := Decode(h.schema, rec[versionHdrSize:])
+	if err != nil {
+		return nil, false, err
+	}
+	return t, true, nil
 }
