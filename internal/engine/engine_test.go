@@ -553,6 +553,25 @@ func TestExecProfiled(t *testing.T) {
 	if _, _, err := db.ExecProfiled("DROP TABLE txns"); err == nil {
 		t.Fatal("non-SELECT must be rejected by ExecProfiled")
 	}
+
+	// A CTE source is profiled as the "cte" stage under the same chain.
+	res, stats, err = db.ExecProfiled("WITH s AS (SELECT id FROM txns WHERE id < 30) SELECT id FROM s WHERE id >= 10 ORDER BY id DESC LIMIT 5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 5 || res.Rows[0][0].Int != 29 {
+		t.Fatalf("cte rows = %v", res.Rows)
+	}
+	names = names[:0]
+	for _, s := range stats {
+		names = append(names, s.Name)
+	}
+	if got, want := strings.Join(names, ","), "limit,sort,project,filter,cte"; got != want {
+		t.Fatalf("cte stages = %s, want %s", got, want)
+	}
+	if stats[4].Rows != 30 || stats[3].Rows != 20 {
+		t.Fatalf("cte rows = %d, filter rows = %d", stats[4].Rows, stats[3].Rows)
+	}
 }
 
 func TestConcurrentQueriesOverDistinctTables(t *testing.T) {

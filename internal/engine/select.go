@@ -2,12 +2,14 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 
 	"tensorbase/internal/exec"
 	"tensorbase/internal/lifecycle"
 	"tensorbase/internal/sql"
+	"tensorbase/internal/storage"
 	"tensorbase/internal/table"
 	"tensorbase/internal/udf"
 )
@@ -25,9 +27,10 @@ func (db *DB) ExecProfiled(sqlText string) (*Result, []exec.StageStat, error) {
 	return db.exec(context.Background(), sqlText, true)
 }
 
-// runSelect compiles and runs a SELECT: heap scan (or key lookup) → filter →
-// optional PREDICT inference operator → projection → order → limit. Every
-// cancellation-aware operator in the tree observes tok.
+// runSelect resolves a SELECT's source and runs the compiler over it. The
+// source is a CTE from the WITH clause, materialised through a recursive
+// runSelect into a memory scan, or else a snapshot heap scan (or key
+// lookup).
 //
 // SELECT (including PREDICT) is the lock-free serving path: the statement
 // holds no table lock, only the heap's read gate (admitting any number of
@@ -35,71 +38,95 @@ func (db *DB) ExecProfiled(sqlText string) (*Result, []exec.StageStat, error) {
 // against the committed-CSN snapshot pinned here — concurrent INSERTs
 // commit freely and become visible to the NEXT statement, never mid-scan.
 func (db *DB) runSelect(st *sql.Select, profile bool, tok *lifecycle.Token) (*Result, []exec.StageStat, error) {
-	var stages []*exec.Instrumented
-	wrap := func(name string, op exec.Operator) exec.Operator {
-		if !profile {
-			return op
-		}
-		// Each stage samples buffer-pool fetch deltas across its
-		// Open..Close window (subtree-inclusive, like wall time).
-		ins := exec.Instrument(name, op).WithPool(db.pool)
-		stages = append(stages, ins)
-		return ins
-	}
-	// Source: a CTE from the WITH clause materialises through a recursive
-	// runSelect into a memory scan; anything else is a snapshot heap scan.
-	// Each CTE sees only the bindings before it, so chained CTEs resolve
-	// left-to-right and cycles are impossible.
-	var (
-		op        exec.Operator
-		srcSchema *table.Schema
-	)
-	if i := cteIndex(st); i >= 0 {
-		body := *st.With[i].Query
-		body.With = st.With[:i]
-		inner, _, err := db.runSelect(&body, false, tok)
+	c := &compiler{tok: tok, pool: db.pool, predict: db.predictOp, profile: profile}
+	if body, ok := st.CTEBody(); ok {
+		inner, _, err := db.runSelect(body, false, tok)
 		if err != nil {
 			return nil, nil, fmt.Errorf("engine: CTE %q: %w", st.From, err)
 		}
-		srcSchema = inner.Schema
 		ms := exec.NewMemScan(inner.Schema, inner.Rows)
 		ms.SetCancel(tok)
-		op = wrap("cte", ms)
-	} else {
-		te, err := db.resolveForRead(st.From)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer te.Heap.EndRead()
-		db.mSnapshotReads.Inc()
-		srcSchema = te.Heap.Schema()
-		snap := db.snapshotCSN()
-		// `WHERE firstcol = k` reads the heap's key index instead of every
-		// page. The filter below still runs over the lookup's rows, so it
-		// stays the one authority on the predicate; the stage keeps the
-		// name "scan" because it is the same storage access layer.
-		var src exec.Operator = exec.NewHeapScanAt(te.Heap, snap)
-		if key, ok := indexKey(st, srcSchema); ok {
-			db.mIndexLookups.Inc()
-			src = exec.NewHeapLookupAt(te.Heap, key, snap)
-		}
-		exec.SetCancel(src, tok)
-		op = wrap("scan", src)
-		if profile {
-			// Surface observability warnings (e.g. a stale vector index over
-			// this table) on the scan stage of the profile.
-			for _, w := range db.staleVindexWarnings(st.From) {
-				stages[0].AddNote(w)
-			}
+		return c.run(st, c.wrap("cte", ms))
+	}
+	te, err := db.resolveForRead(st.From)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer te.Heap.EndRead()
+	db.mSnapshotReads.Inc()
+	snap := db.snapshotCSN()
+	// `WHERE firstcol = k` reads the heap's key index instead of every
+	// page. The filter still runs over the lookup's rows, so it stays the
+	// one authority on the predicate; the stage keeps the name "scan"
+	// because it is the same storage access layer.
+	var src exec.Operator = exec.NewHeapScanAt(te.Heap, snap)
+	if key, ok := indexKey(st, te.Heap.Schema()); ok {
+		db.mIndexLookups.Inc()
+		src = exec.NewHeapLookupAt(te.Heap, key, snap)
+	}
+	exec.SetCancel(src, tok)
+	src = c.wrap("scan", src)
+	if profile {
+		// Surface observability warnings (e.g. a stale vector index over
+		// this table) on the scan stage of the profile.
+		for _, w := range db.staleVindexWarnings(st.From) {
+			c.stages[0].AddNote(w)
 		}
 	}
+	return c.run(st, src)
+}
 
+// RunMemSelect evaluates a SELECT over an in-memory row set — the shard
+// coordinator's evaluator for a CTE outer query whose source rows were
+// already gathered from the shards. It compiles through the same compiler
+// as runSelect, with no buffer pool (ORDER BY sorts in memory) and no
+// PREDICT (inference needs a live engine).
+func RunMemSelect(st *sql.Select, schema *table.Schema, rows []table.Tuple) (*Result, error) {
+	res, _, err := (&compiler{}).run(st, exec.NewMemScan(schema, rows))
+	return res, err
+}
+
+// Statement shapes the SELECT compiler refuses. The shard planner
+// returns the same errors, so a cluster refuses them in the same words.
+var (
+	ErrPredictWithAggregate = errors.New("engine: PREDICT cannot be combined with aggregates")
+	ErrStarWithAggregate    = errors.New("engine: '*' cannot be combined with aggregates")
+)
+
+// compiler places the operators above a SELECT's source — filter →
+// aggregate → PREDICT → project → sort → limit — and runs them. The
+// statement checks live here alone. What differs between callers is
+// input, not a branch on the caller.
+type compiler struct {
+	tok  *lifecycle.Token    // every cancellation-aware operator observes it
+	pool *storage.BufferPool // ORDER BY spills through it; nil sorts in memory
+	// predict builds the inference operator; nil refuses PREDICT.
+	predict func(in exec.Operator, p *sql.PredictExpr, tok *lifecycle.Token) (exec.Operator, error)
+	profile bool
+	stages  []*exec.Instrumented // innermost first
+}
+
+// wrap instruments op as an EXPLAIN ANALYZE stage when profiling, and
+// returns it untouched otherwise.
+func (c *compiler) wrap(name string, op exec.Operator) exec.Operator {
+	if !c.profile {
+		return op
+	}
+	// Each stage samples buffer-pool fetch deltas across its Open..Close
+	// window (subtree-inclusive, like wall time).
+	ins := exec.Instrument(name, op).WithPool(c.pool)
+	c.stages = append(c.stages, ins)
+	return ins
+}
+
+// run compiles st over op, its source, and collects the result.
+func (c *compiler) run(st *sql.Select, op exec.Operator) (*Result, []exec.StageStat, error) {
 	if st.Where != nil {
-		pred, err := compileWhere(srcSchema, st.Where)
+		pred, err := compileWhere(op.Schema(), st.Where)
 		if err != nil {
 			return nil, nil, err
 		}
-		op = wrap("filter", exec.NewFilter(op, pred))
+		op = c.wrap("filter", exec.NewFilter(op, pred))
 	}
 
 	// At most one PREDICT per query; it appends a "prediction" column.
@@ -117,7 +144,7 @@ func (db *DB) runSelect(st *sql.Select, profile bool, tok *lifecycle.Token) (*Re
 	// column. GROUP BY without aggregates is DISTINCT over the group column.
 	if st.GroupBy != "" || st.HasAggregate() {
 		if predict != nil {
-			return nil, nil, fmt.Errorf("engine: PREDICT cannot be combined with aggregates")
+			return nil, nil, ErrPredictWithAggregate
 		}
 		var groupBy []string
 		if st.GroupBy != "" {
@@ -127,7 +154,7 @@ func (db *DB) runSelect(st *sql.Select, profile bool, tok *lifecycle.Token) (*Re
 		for _, item := range st.Items {
 			if item.Agg == nil {
 				if item.Star {
-					return nil, nil, fmt.Errorf("engine: '*' cannot be combined with aggregates")
+					return nil, nil, ErrStarWithAggregate
 				}
 				if item.Col != st.GroupBy {
 					return nil, nil, fmt.Errorf("engine: column %q must appear in GROUP BY", item.Col)
@@ -144,47 +171,19 @@ func (db *DB) runSelect(st *sql.Select, profile bool, tok *lifecycle.Token) (*Re
 		if err != nil {
 			return nil, nil, err
 		}
-		agg.SetCancel(tok)
-		op = wrap("aggregate", agg)
+		agg.SetCancel(c.tok)
+		op = c.wrap("aggregate", agg)
 	}
 
 	if predict != nil {
-		// Quantized serving: per-query OPTIONS (quantized) or the engine-wide
-		// default routes to the model's int8-resident twin, with its own
-		// cache/coalescer key — the two modes never share results.
-		quantized := predict.Quantized || db.opts.PredictQuantized
-		udfName, cacheKey := "adaptive:"+predict.Model, predict.Model
-		if quantized {
-			udfName, cacheKey = "quantized:"+predict.Model, quantizedKey(predict.Model)
+		if c.predict == nil {
+			return nil, nil, fmt.Errorf("engine: PREDICT is not supported over gathered rows")
 		}
-		u, ok := db.udfs.Lookup(udfName)
-		if !ok {
-			if quantized {
-				if _, f32 := db.udfs.Lookup("adaptive:" + predict.Model); f32 {
-					return nil, nil, fmt.Errorf("engine: model %q has no quantized twin", predict.Model)
-				}
-			}
-			return nil, nil, fmt.Errorf("engine: model %q is not loaded", predict.Model)
-		}
-		if quantized {
-			db.mPredictQuantized.Inc()
-		}
-		// The producer draws a worker token from the process-wide compute
-		// budget; with none free the operator runs serially.
-		iopts := []udf.InferOption{udf.WithStats(&db.inferStats), udf.WithCancel(tok), udf.WithPipeline(nil)}
-		if rc, ok := db.ResultCacheFor(cacheKey); ok {
-			iopts = append(iopts, udf.WithCache(rc))
-		}
-		if co, ok := db.coalescerFor(cacheKey); ok {
-			// Concurrent PREDICTs over the same model merge their
-			// cache-miss rows into shared model invocations.
-			iopts = append(iopts, udf.WithCoalescer(co))
-		}
-		infer, err := udf.NewInferOp(op, u, predict.FeatureCol, db.opts.InferBatch, iopts...)
+		infer, err := c.predict(op, predict, c.tok)
 		if err != nil {
 			return nil, nil, err
 		}
-		op = wrap("predict", infer)
+		op = c.wrap("predict", infer)
 	}
 
 	// Projection.
@@ -211,21 +210,28 @@ func (db *DB) runSelect(st *sql.Select, profile bool, tok *lifecycle.Token) (*Re
 		if err != nil {
 			return nil, nil, err
 		}
-		op = wrap("project", proj)
+		op = c.wrap("project", proj)
 	}
 
 	if st.OrderBy != "" {
 		// External merge sort: ORDER BY spills runs through the buffer
-		// pool instead of materialising arbitrarily large inputs.
-		srt, err := exec.NewExternalSort(op, st.OrderBy, st.OrderDesc, db.pool)
+		// pool instead of materialising arbitrarily large inputs. Without
+		// a pool the rows are already in memory, and so is the sort.
+		var srt exec.Operator
+		var err error
+		if c.pool != nil {
+			srt, err = exec.NewExternalSort(op, st.OrderBy, st.OrderDesc, c.pool)
+		} else {
+			srt, err = exec.NewSort(op, st.OrderBy, st.OrderDesc)
+		}
 		if err != nil {
 			return nil, nil, err
 		}
-		srt.SetCancel(tok)
-		op = wrap("sort", srt)
+		exec.SetCancel(srt, c.tok)
+		op = c.wrap("sort", srt)
 	}
 	if st.Limit >= 0 {
-		op = wrap("limit", exec.NewLimit(op, st.Limit))
+		op = c.wrap("limit", exec.NewLimit(op, st.Limit))
 	}
 
 	rows, err := exec.Collect(op)
@@ -233,10 +239,51 @@ func (db *DB) runSelect(st *sql.Select, profile bool, tok *lifecycle.Token) (*Re
 		return nil, nil, err
 	}
 	// Stages were appended innermost-first; report outermost-first.
+	stages := c.stages
 	for i, j := 0, len(stages)-1; i < j; i, j = i+1, j-1 {
 		stages[i], stages[j] = stages[j], stages[i]
 	}
 	return &Result{Schema: op.Schema(), Rows: rows}, exec.Profile(stages), nil
+}
+
+// predictOp builds the inference operator for one PREDICT over in.
+func (db *DB) predictOp(in exec.Operator, p *sql.PredictExpr, tok *lifecycle.Token) (exec.Operator, error) {
+	// Quantized serving: per-query OPTIONS (quantized) or the engine-wide
+	// default routes to the model's int8-resident twin, with its own
+	// cache/coalescer key — the two modes never share results.
+	quantized := p.Quantized || db.opts.PredictQuantized
+	udfName, cacheKey := "adaptive:"+p.Model, p.Model
+	if quantized {
+		udfName, cacheKey = "quantized:"+p.Model, quantizedKey(p.Model)
+	}
+	u, ok := db.udfs.Lookup(udfName)
+	if !ok {
+		if quantized {
+			if _, f32 := db.udfs.Lookup("adaptive:" + p.Model); f32 {
+				return nil, fmt.Errorf("engine: model %q has no quantized twin", p.Model)
+			}
+		}
+		return nil, fmt.Errorf("engine: model %q is not loaded", p.Model)
+	}
+	if quantized {
+		db.mPredictQuantized.Inc()
+	}
+	// The producer draws a worker token from the process-wide compute
+	// budget; with none free the operator runs serially.
+	iopts := []udf.InferOption{udf.WithStats(&db.inferStats), udf.WithCancel(tok), udf.WithPipeline(nil)}
+	if rc, ok := db.ResultCacheFor(cacheKey); ok {
+		iopts = append(iopts, udf.WithCache(rc))
+	}
+	if co, ok := db.coalescerFor(cacheKey); ok {
+		// Concurrent PREDICTs over the same model merge their
+		// cache-miss rows into shared model invocations.
+		iopts = append(iopts, udf.WithCoalescer(co))
+	}
+	infer, err := udf.NewInferOp(in, u, p.FeatureCol, db.opts.InferBatch, iopts...)
+	if err != nil {
+		return nil, err
+	}
+	return infer, nil
 }
 
 // aggKinds maps parsed aggregate names to exec kinds.
@@ -246,17 +293,6 @@ var aggKinds = map[string]exec.AggKind{
 	"AVG":   exec.Avg,
 	"MIN":   exec.Min,
 	"MAX":   exec.Max,
-}
-
-// cteIndex returns the index of the WITH binding the FROM clause names, or
-// -1 when FROM is a base table. The last binding with a given name wins.
-func cteIndex(st *sql.Select) int {
-	for i := len(st.With) - 1; i >= 0; i-- {
-		if st.With[i].Name == st.From {
-			return i
-		}
-	}
-	return -1
 }
 
 // indexKey reports whether st pins an INT first column with `=` to a

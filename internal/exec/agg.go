@@ -28,6 +28,16 @@ const (
 	VecFold
 )
 
+var aggKindNames = [...]string{Count: "COUNT", Sum: "SUM", Avg: "AVG", Min: "MIN", Max: "MAX", VecSum: "VecSum", VecFold: "VecFold"}
+
+// String returns the kind's SQL name (COUNT, SUM, ...).
+func (k AggKind) String() string {
+	if int(k) < len(aggKindNames) && aggKindNames[k] != "" {
+		return aggKindNames[k]
+	}
+	return fmt.Sprintf("AggKind(%d)", uint8(k))
+}
+
 // FoldFunc merges one input tuple into a group's float-vector accumulator.
 // On the group's first tuple acc is nil and the fold allocates it; the
 // possibly-grown accumulator is returned. Folds run once per input tuple in
@@ -300,8 +310,12 @@ type Sort struct {
 
 // NewSort returns a sort of in by col (ascending unless desc).
 func NewSort(in Operator, col string, desc bool) (*Sort, error) {
-	if in.Schema().ColIndex(col) < 0 {
+	idx := in.Schema().ColIndex(col)
+	if idx < 0 {
 		return nil, fmt.Errorf("exec: sort: unknown column %q", col)
+	}
+	if in.Schema().Cols[idx].Type == table.FloatVec {
+		return nil, fmt.Errorf("exec: cannot sort by vector column %q", col)
 	}
 	return &Sort{in: in, col: col, desc: desc}, nil
 }

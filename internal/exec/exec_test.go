@@ -303,6 +303,12 @@ func TestHashAggregateValidation(t *testing.T) {
 	if _, err := NewHashAggregate(NewMemScan(s, nil), nil, []AggSpec{{Kind: Sum, Col: "v"}}); err == nil {
 		t.Fatal("missing output name must error")
 	}
+	// The error names the aggregate, not its enum value.
+	ts := table.MustSchema(table.Column{Name: "who", Type: table.Text})
+	_, err := NewHashAggregate(NewMemScan(ts, nil), nil, []AggSpec{{Kind: Sum, Col: "who", As: "s"}})
+	if err == nil || err.Error() != `exec: SUM over non-numeric column "who"` {
+		t.Fatalf("SUM over TEXT: err = %v", err)
+	}
 }
 
 func TestSortAscDesc(t *testing.T) {
@@ -329,6 +335,16 @@ func TestSortAscDesc(t *testing.T) {
 	}
 	if got[0][0].Int != 3 {
 		t.Fatalf("desc sort = %v", got)
+	}
+	// A vector column has no order; the in-memory sort refuses it with
+	// the external sort's words.
+	vs := table.MustSchema(table.Column{Name: "f", Type: table.FloatVec})
+	_, err = NewSort(NewMemScan(vs, nil), "f", false)
+	if err == nil || err.Error() != `exec: cannot sort by vector column "f"` {
+		t.Fatalf("vector sort: err = %v", err)
+	}
+	if _, err := NewExternalSort(NewMemScan(vs, nil), "f", false, nil); err == nil || err.Error() != `exec: cannot sort by vector column "f"` {
+		t.Fatalf("vector external sort: err = %v", err)
 	}
 }
 

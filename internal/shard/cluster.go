@@ -396,7 +396,12 @@ func (c *Cluster) scatterAggregate(ctx context.Context, st *sql.Select, sess *Se
 	var finals []exec.FinalAgg
 	for _, it := range st.Items {
 		if it.Agg == nil {
-			if it.Star || it.Col != st.GroupBy {
+			switch {
+			case it.Predict != nil:
+				return nil, engine.ErrPredictWithAggregate
+			case it.Star:
+				return nil, engine.ErrStarWithAggregate
+			case it.Col != st.GroupBy:
 				return nil, fmt.Errorf("shard: column %q must appear in GROUP BY", it.Col)
 			}
 			continue
@@ -468,31 +473,22 @@ func (c *Cluster) scatterAggregate(ctx context.Context, st *sql.Select, sess *Se
 
 // selectCTE materialises the referenced CTE body through the cluster
 // (scattering as needed), then evaluates the outer query at the
-// coordinator over the gathered rows — identical semantics to the
-// engine's recursive materialisation, minus PREDICT (which must run next
-// to a model, i.e. inside a shard subplan, not over gathered rows).
+// coordinator over the gathered rows through the engine's SELECT
+// compiler — the same semantics as the engine's recursive
+// materialisation, minus PREDICT (which must run next to a model, i.e.
+// inside a shard subplan, not over gathered rows).
 func (c *Cluster) selectCTE(ctx context.Context, st *sql.Select, sess *Session) (*engine.Result, error) {
-	idx := -1
-	for i := len(st.With) - 1; i >= 0; i-- {
-		if st.With[i].Name == st.From {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
+	outer := *st
+	outer.With = nil
+	body, ok := st.CTEBody()
+	if !ok {
 		// FROM names a base table; the WITH bindings are unused.
-		plain := *st
-		plain.With = nil
-		return c.Select(ctx, &plain, sess)
+		return c.Select(ctx, &outer, sess)
 	}
-	body := *st.With[idx].Query
-	body.With = st.With[:idx]
-	inner, err := c.Select(ctx, &body, sess)
+	inner, err := c.Select(ctx, body, sess)
 	if err != nil {
 		return nil, fmt.Errorf("shard: CTE %q: %w", st.From, err)
 	}
-	outer := *st
-	outer.With = nil
 	return engine.RunMemSelect(&outer, inner.Schema, inner.Rows)
 }
 

@@ -184,6 +184,54 @@ func TestScatterMatchesSingleNode(t *testing.T) {
 	}
 }
 
+// errorParityQueries are statements a single node refuses. The cluster
+// must refuse each one too, in the single node's words, whichever of the
+// scatter or coordinator paths plans it.
+var errorParityQueries = []string{
+	"WITH b AS (SELECT id, f FROM tx) SELECT * FROM b ORDER BY f",
+	"SELECT f, COUNT(*) FROM tx GROUP BY f ORDER BY f",
+	"SELECT COUNT(*), PREDICT(m4, f) FROM tx",
+	"SELECT *, COUNT(*) FROM tx",
+	"WITH b AS (SELECT id, who FROM tx) SELECT *, id FROM b",
+	"WITH b AS (SELECT id, who FROM tx) SELECT id, COUNT(*) FROM b GROUP BY who",
+	"WITH b AS (SELECT id, f FROM tx) SELECT PREDICT(m4, f), PREDICT(m4, f) FROM b",
+}
+
+func TestScatterErrorsMatchSingleNode(t *testing.T) {
+	const rows = 24
+	ref := newRefEngine(t, rows)
+	for _, shards := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cl := newTestCluster(t, shards, rows)
+			sess := cl.NewSession()
+			for _, q := range errorParityQueries {
+				_, refErr := ref.Query(q)
+				if refErr == nil {
+					t.Fatalf("ref %s: no error", q)
+				}
+				res, err := cl.Exec(context.Background(), q, sess)
+				if err == nil {
+					t.Fatalf("cluster %s: no error, %d rows; ref: %v", q, len(res.Rows), refErr)
+				}
+				if !strings.Contains(err.Error(), refErr.Error()) {
+					t.Fatalf("cluster %s: %v, want it to contain %q", q, err, refErr)
+				}
+			}
+
+			// The one documented difference: the coordinator holds no
+			// models, so PREDICT over a CTE's gathered rows is refused.
+			q := "WITH b AS (SELECT id, f FROM tx) SELECT id, PREDICT(m4, f) FROM b"
+			if _, err := ref.Query(q); err != nil {
+				t.Fatalf("ref %s: %v", q, err)
+			}
+			_, err := cl.Exec(context.Background(), q, sess)
+			if err == nil || !strings.Contains(err.Error(), "PREDICT is not supported over gathered rows") {
+				t.Fatalf("cluster %s: %v, want the gathered-rows refusal", q, err)
+			}
+		})
+	}
+}
+
 // TestPinnedVsScatterCounters checks the fast-path split is observable:
 // key-pinned point reads increment the pinned counter only.
 func TestPinnedVsScatterCounters(t *testing.T) {

@@ -152,6 +152,43 @@ func TestKeyPin(t *testing.T) {
 	}
 }
 
+func TestCTEBody(t *testing.T) {
+	cases := []struct {
+		name, src string
+		ok        bool
+		from      string   // the body's FROM
+		with      []string // the bindings the body may see
+	}{
+		{"chained", "WITH a AS (SELECT id FROM t), b AS (SELECT id FROM a) SELECT id FROM b",
+			true, "a", []string{"a"}},
+		{"shadowed", "WITH a AS (SELECT id FROM t), a AS (SELECT id FROM a WHERE id > 1) SELECT id FROM a",
+			true, "a", []string{"a"}},
+		{"base table", "WITH a AS (SELECT id FROM t) SELECT id FROM t", false, "", nil},
+	}
+	for _, c := range cases {
+		st := parseSelect(t, c.src)
+		body, ok := st.CTEBody()
+		if ok != c.ok {
+			t.Fatalf("%s: ok = %v, want %v", c.name, ok, c.ok)
+		}
+		if !ok {
+			continue
+		}
+		if body.From != c.from || len(body.With) != len(c.with) {
+			t.Fatalf("%s: body FROM %q with %d bindings, want FROM %q with %v", c.name, body.From, len(body.With), c.from, c.with)
+		}
+		for i, w := range c.with {
+			if body.With[i].Name != w {
+				t.Fatalf("%s: binding %d = %q, want %q", c.name, i, body.With[i].Name, w)
+			}
+		}
+		// The shadowing binding wins, and the statement is not mutated.
+		if c.name == "shadowed" && (body.Where == nil || len(st.With) != 2) {
+			t.Fatalf("shadowed: body = %+v, outer WITH = %d", body, len(st.With))
+		}
+	}
+}
+
 func TestRenderRoundTrip(t *testing.T) {
 	srcs := []string{
 		"SELECT a, b FROM t WHERE a >= 1.5 ORDER BY b DESC LIMIT 10",
