@@ -7,6 +7,7 @@
 package catalog
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -44,6 +45,10 @@ type ModelEntry struct {
 	TrainedOn string
 }
 
+// ErrNoTable is the error a statement naming an unregistered table gets,
+// wrapped with the table's name.
+var ErrNoTable = errors.New("catalog: no table")
+
 // Catalog is a thread-safe registry of tables and models.
 type Catalog struct {
 	mu     sync.RWMutex
@@ -79,7 +84,7 @@ func (c *Catalog) Table(name string) (*TableEntry, error) {
 	defer c.mu.RUnlock()
 	t, ok := c.tables[name]
 	if !ok {
-		return nil, fmt.Errorf("catalog: no table %q", name)
+		return nil, fmt.Errorf("%w %q", ErrNoTable, name)
 	}
 	return t, nil
 }
@@ -91,7 +96,7 @@ func (c *Catalog) DropTable(name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.tables[name]; !ok {
-		return fmt.Errorf("catalog: no table %q", name)
+		return fmt.Errorf("%w %q", ErrNoTable, name)
 	}
 	delete(c.tables, name)
 	return nil

@@ -78,19 +78,93 @@ func (db *DB) runSelect(st *sql.Select, profile bool, tok *lifecycle.Token) (*Re
 
 // RunMemSelect evaluates a SELECT over an in-memory row set — the shard
 // coordinator's evaluator for a CTE outer query whose source rows were
-// already gathered from the shards. It compiles through the same compiler
-// as runSelect, with no buffer pool (ORDER BY sorts in memory) and no
-// PREDICT (inference needs a live engine).
+// already gathered from the shards. Like every coordinator merge it
+// compiles with no buffer pool (ORDER BY sorts in memory) and no PREDICT
+// (inference needs a live engine).
 func RunMemSelect(st *sql.Select, schema *table.Schema, rows []table.Tuple) (*Result, error) {
 	res, _, err := (&compiler{}).run(st, exec.NewMemScan(schema, rows))
 	return res, err
 }
 
-// Statement shapes the SELECT compiler refuses. The shard planner
-// returns the same errors, so a cluster refuses them in the same words.
+// SplitSelect returns the statement every shard runs and the merge that
+// combines the shards' results at the coordinator. st reads a base table.
+//
+// A scan pushes st down whole: each shard returns its local top-n, and the
+// merge — an ordered merge under ORDER BY, else shard-order concatenation —
+// re-applies the LIMIT. An aggregate pushes partials: COUNT/SUM/MIN/MAX as
+// they are, AVG as SUM+COUNT, each distinct partial once. The merge combines
+// them by group, then runs the query's projection, ORDER BY and LIMIT.
+func SplitSelect(st *sql.Select) (shard *sql.Select, merge func([]*Result) (*Result, error), err error) {
+	shard = st
+	outer := &sql.Select{Items: []sql.SelectItem{{Star: true}}, Limit: st.Limit}
+	combine := func(ins []exec.Operator) (exec.Operator, error) {
+		if st.OrderBy != "" {
+			return exec.NewOrderedMerge(ins, st.OrderBy, st.OrderDesc)
+		}
+		return exec.NewConcat(ins...)
+	}
+	if st.GroupBy != "" || st.HasAggregate() {
+		groupBy, specs, err := aggregateSpecs(st)
+		if err != nil {
+			return nil, nil, err
+		}
+		shard = &sql.Select{From: st.From, Where: st.Where, GroupBy: st.GroupBy, Limit: -1}
+		for _, g := range groupBy {
+			shard.Items = append(shard.Items, sql.SelectItem{Col: g})
+		}
+		index := make(map[string]int)
+		partial := func(fn, col string) int {
+			agg := &sql.AggExpr{Fn: fn, Col: col}
+			i, ok := index[agg.OutName()]
+			if !ok {
+				i = len(shard.Items)
+				index[agg.OutName()] = i
+				shard.Items = append(shard.Items, sql.SelectItem{Agg: agg})
+			}
+			return i
+		}
+		finals := make([]exec.FinalAgg, len(specs))
+		for i, sp := range specs {
+			finals[i] = exec.FinalAgg{Kind: sp.Kind, As: sp.As}
+			switch sp.Kind {
+			case exec.Count:
+				finals[i].Arg = partial("COUNT", "")
+			case exec.Avg:
+				finals[i].Arg, finals[i].Count = partial("SUM", sp.Col), partial("COUNT", "")
+			default:
+				finals[i].Arg = partial(sp.Kind.String(), sp.Col)
+			}
+		}
+		outer = &sql.Select{OrderBy: st.OrderBy, OrderDesc: st.OrderDesc, Limit: st.Limit}
+		for _, item := range st.Items {
+			col := item.Col
+			if item.Agg != nil {
+				col = item.Agg.OutName()
+			}
+			outer.Items = append(outer.Items, sql.SelectItem{Col: col})
+		}
+		combine = func(ins []exec.Operator) (exec.Operator, error) {
+			return exec.NewMergeAggregate(ins, len(groupBy), finals)
+		}
+	}
+	return shard, func(parts []*Result) (*Result, error) {
+		ins := make([]exec.Operator, len(parts))
+		for i, r := range parts {
+			ins[i] = exec.NewMemScan(r.Schema, r.Rows)
+		}
+		src, err := combine(ins)
+		if err != nil {
+			return nil, err
+		}
+		res, _, err := (&compiler{}).run(outer, src)
+		return res, err
+	}, nil
+}
+
+// Statement shapes the SELECT compiler refuses.
 var (
-	ErrPredictWithAggregate = errors.New("engine: PREDICT cannot be combined with aggregates")
-	ErrStarWithAggregate    = errors.New("engine: '*' cannot be combined with aggregates")
+	errPredictWithAggregate = errors.New("engine: PREDICT cannot be combined with aggregates")
+	errStarWithAggregate    = errors.New("engine: '*' cannot be combined with aggregates")
 )
 
 // compiler places the operators above a SELECT's source — filter →
@@ -129,43 +203,17 @@ func (c *compiler) run(st *sql.Select, op exec.Operator) (*Result, []exec.StageS
 		op = c.wrap("filter", exec.NewFilter(op, pred))
 	}
 
-	// At most one PREDICT per query; it appends a "prediction" column.
-	var predict *sql.PredictExpr
-	for _, item := range st.Items {
-		if item.Predict != nil {
-			if predict != nil {
-				return nil, nil, fmt.Errorf("engine: at most one PREDICT per query")
-			}
-			predict = item.Predict
-		}
+	predict, err := predictItem(st)
+	if err != nil {
+		return nil, nil, err
 	}
 
 	// Aggregation: COUNT/SUM/AVG/MIN/MAX with an optional single GROUP BY
 	// column. GROUP BY without aggregates is DISTINCT over the group column.
 	if st.GroupBy != "" || st.HasAggregate() {
-		if predict != nil {
-			return nil, nil, ErrPredictWithAggregate
-		}
-		var groupBy []string
-		if st.GroupBy != "" {
-			groupBy = []string{st.GroupBy}
-		}
-		var specs []exec.AggSpec
-		for _, item := range st.Items {
-			if item.Agg == nil {
-				if item.Star {
-					return nil, nil, ErrStarWithAggregate
-				}
-				if item.Col != st.GroupBy {
-					return nil, nil, fmt.Errorf("engine: column %q must appear in GROUP BY", item.Col)
-				}
-				continue
-			}
-			kind, ok := aggKinds[item.Agg.Fn]
-			if !ok {
-				return nil, nil, fmt.Errorf("engine: unknown aggregate %q", item.Agg.Fn)
-			}
-			specs = append(specs, exec.AggSpec{Kind: kind, Col: item.Agg.Col, As: item.Agg.OutName()})
+		groupBy, specs, err := aggregateSpecs(st)
+		if err != nil {
+			return nil, nil, err
 		}
 		agg, err := exec.NewHashAggregate(op, groupBy, specs)
 		if err != nil {
@@ -218,7 +266,6 @@ func (c *compiler) run(st *sql.Select, op exec.Operator) (*Result, []exec.StageS
 		// pool instead of materialising arbitrarily large inputs. Without
 		// a pool the rows are already in memory, and so is the sort.
 		var srt exec.Operator
-		var err error
 		if c.pool != nil {
 			srt, err = exec.NewExternalSort(op, st.OrderBy, st.OrderDesc, c.pool)
 		} else {
@@ -244,6 +291,54 @@ func (c *compiler) run(st *sql.Select, op exec.Operator) (*Result, []exec.StageS
 		stages[i], stages[j] = stages[j], stages[i]
 	}
 	return &Result{Schema: op.Schema(), Rows: rows}, exec.Profile(stages), nil
+}
+
+// predictItem returns st's PREDICT, or nil when it has none. At most one
+// PREDICT per query; it appends a "prediction" column.
+func predictItem(st *sql.Select) (*sql.PredictExpr, error) {
+	var predict *sql.PredictExpr
+	for _, item := range st.Items {
+		if item.Predict != nil {
+			if predict != nil {
+				return nil, fmt.Errorf("engine: at most one PREDICT per query")
+			}
+			predict = item.Predict
+		}
+	}
+	return predict, nil
+}
+
+// aggregateSpecs checks an aggregating SELECT's items and derives its
+// group column and aggregate specs. The compiler and SplitSelect both call
+// it, so a single node and a cluster refuse the same statements in the
+// same words.
+func aggregateSpecs(st *sql.Select) (groupBy []string, specs []exec.AggSpec, err error) {
+	switch p, err := predictItem(st); {
+	case err != nil:
+		return nil, nil, err
+	case p != nil:
+		return nil, nil, errPredictWithAggregate
+	}
+	if st.GroupBy != "" {
+		groupBy = []string{st.GroupBy}
+	}
+	for _, item := range st.Items {
+		if item.Agg == nil {
+			if item.Star {
+				return nil, nil, errStarWithAggregate
+			}
+			if item.Col != st.GroupBy {
+				return nil, nil, fmt.Errorf("engine: column %q must appear in GROUP BY", item.Col)
+			}
+			continue
+		}
+		kind, ok := aggKinds[item.Agg.Fn]
+		if !ok {
+			return nil, nil, fmt.Errorf("engine: unknown aggregate %q", item.Agg.Fn)
+		}
+		specs = append(specs, exec.AggSpec{Kind: kind, Col: item.Agg.Col, As: item.Agg.OutName()})
+	}
+	return groupBy, specs, nil
 }
 
 // predictOp builds the inference operator for one PREDICT over in.

@@ -302,22 +302,43 @@ func (a *HashAggregate) Close() error {
 // Sort materialises the input and emits it ordered by a column.
 type Sort struct {
 	in   Operator
-	col  string
-	desc bool
+	less func(a, b table.Tuple) bool
 	rows []table.Tuple
 	pos  int
 }
 
 // NewSort returns a sort of in by col (ascending unless desc).
 func NewSort(in Operator, col string, desc bool) (*Sort, error) {
-	idx := in.Schema().ColIndex(col)
+	less, err := orderLess(in.Schema(), col, desc)
+	if err != nil {
+		return nil, err
+	}
+	return &Sort{in: in, less: less}, nil
+}
+
+// orderLess resolves an ORDER BY column in s and returns the less-function
+// that Sort, ExternalSort and OrderedMerge all order by: the column's value,
+// ascending unless desc. A vector column has no order and is refused.
+func orderLess(s *table.Schema, col string, desc bool) (func(a, b table.Tuple) bool, error) {
+	idx := s.ColIndex(col)
 	if idx < 0 {
 		return nil, fmt.Errorf("exec: sort: unknown column %q", col)
 	}
-	if in.Schema().Cols[idx].Type == table.FloatVec {
+	var less func(a, b table.Tuple) bool
+	switch s.Cols[idx].Type {
+	case table.Int64:
+		less = func(a, b table.Tuple) bool { return a[idx].Int < b[idx].Int }
+	case table.Float64:
+		less = func(a, b table.Tuple) bool { return a[idx].Float < b[idx].Float }
+	case table.FloatVec:
 		return nil, fmt.Errorf("exec: cannot sort by vector column %q", col)
+	default:
+		less = func(a, b table.Tuple) bool { return a[idx].Str < b[idx].Str }
 	}
-	return &Sort{in: in, col: col, desc: desc}, nil
+	if desc {
+		return func(a, b table.Tuple) bool { return less(b, a) }, nil
+	}
+	return less, nil
 }
 
 // Schema implements Operator.
@@ -329,24 +350,7 @@ func (s *Sort) Open() error {
 	if err != nil {
 		return err
 	}
-	idx := s.in.Schema().ColIndex(s.col)
-	typ := s.in.Schema().Cols[idx].Type
-	less := func(a, b table.Tuple) bool {
-		switch typ {
-		case table.Int64:
-			return a[idx].Int < b[idx].Int
-		case table.Float64:
-			return a[idx].Float < b[idx].Float
-		default:
-			return a[idx].Str < b[idx].Str
-		}
-	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		if s.desc {
-			return less(rows[j], rows[i])
-		}
-		return less(rows[i], rows[j])
-	})
+	sort.SliceStable(rows, func(i, j int) bool { return s.less(rows[i], rows[j]) })
 	s.rows = rows
 	s.pos = 0
 	return nil

@@ -18,12 +18,9 @@ import (
 // relation-centric tensor path: bounded memory, disk-backed state.
 type ExternalSort struct {
 	in      Operator
-	col     string
-	desc    bool
 	pool    *storage.BufferPool
 	RunRows int // max tuples held in memory at once (default 1024)
 
-	colIdx int
 	less   func(a, b table.Tuple) bool
 	runs   []*table.Scanner
 	merge  mergeHeap
@@ -40,31 +37,11 @@ type ExternalSort struct {
 // NewExternalSort returns an external sort of in by col, spilling runs
 // through pool.
 func NewExternalSort(in Operator, col string, desc bool, pool *storage.BufferPool) (*ExternalSort, error) {
-	idx := in.Schema().ColIndex(col)
-	if idx < 0 {
-		return nil, fmt.Errorf("exec: external sort: unknown column %q", col)
+	less, err := orderLess(in.Schema(), col, desc)
+	if err != nil {
+		return nil, err
 	}
-	typ := in.Schema().Cols[idx].Type
-	if typ == table.FloatVec {
-		return nil, fmt.Errorf("exec: cannot sort by vector column %q", col)
-	}
-	s := &ExternalSort{in: in, col: col, desc: desc, pool: pool, RunRows: 1024, colIdx: idx}
-	base := func(a, b table.Tuple) bool {
-		switch typ {
-		case table.Int64:
-			return a[idx].Int < b[idx].Int
-		case table.Float64:
-			return a[idx].Float < b[idx].Float
-		default:
-			return a[idx].Str < b[idx].Str
-		}
-	}
-	if desc {
-		s.less = func(a, b table.Tuple) bool { return base(b, a) }
-	} else {
-		s.less = base
-	}
-	return s, nil
+	return &ExternalSort{in: in, pool: pool, RunRows: 1024, less: less}, nil
 }
 
 // Schema implements Operator.

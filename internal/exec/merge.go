@@ -100,16 +100,13 @@ func (c *Concat) Close() error {
 
 // OrderedMerge k-way-merges inputs that are each already sorted by col,
 // preserving that order globally. Ties break toward the lower input index,
-// so with a deterministic shard order the merged stream is deterministic —
-// and matches what a single node's stable sort would emit when the shards
-// partition that node's rows in scan order.
+// so with a deterministic shard order the merged stream is deterministic.
+// It is not a single node's stable sort: rows that tie on col come out in
+// input (shard) order, not in the order one node would have scanned them.
 type OrderedMerge struct {
 	ins    []Operator
 	schema *table.Schema
-	col    string
-	desc   bool
-	idx    int
-	typ    table.ColType
+	less   func(a, b table.Tuple) bool
 	heads  []table.Tuple
 	live   []bool
 	tok    *lifecycle.Token
@@ -121,11 +118,11 @@ func NewOrderedMerge(ins []Operator, col string, desc bool) (*OrderedMerge, erro
 	if err != nil {
 		return nil, err
 	}
-	idx := s.ColIndex(col)
-	if idx < 0 {
-		return nil, fmt.Errorf("exec: merge: unknown column %q", col)
+	less, err := orderLess(s, col, desc)
+	if err != nil {
+		return nil, err
 	}
-	return &OrderedMerge{ins: ins, schema: s, col: col, desc: desc, idx: idx, typ: s.Cols[idx].Type}, nil
+	return &OrderedMerge{ins: ins, schema: s, less: less}, nil
 }
 
 // Schema implements Operator.
@@ -158,17 +155,6 @@ func (m *OrderedMerge) advance(i int) error {
 	return nil
 }
 
-func (m *OrderedMerge) less(a, b table.Tuple) bool {
-	switch m.typ {
-	case table.Int64:
-		return a[m.idx].Int < b[m.idx].Int
-	case table.Float64:
-		return a[m.idx].Float < b[m.idx].Float
-	default:
-		return a[m.idx].Str < b[m.idx].Str
-	}
-}
-
 // Next implements Operator.
 func (m *OrderedMerge) Next() (table.Tuple, bool, error) {
 	if err := m.tok.Err(); err != nil {
@@ -183,11 +169,7 @@ func (m *OrderedMerge) Next() (table.Tuple, bool, error) {
 			best = i
 			continue
 		}
-		if m.desc {
-			if m.less(m.heads[best], m.heads[i]) {
-				best = i
-			}
-		} else if m.less(m.heads[i], m.heads[best]) {
+		if m.less(m.heads[i], m.heads[best]) {
 			best = i
 		}
 	}

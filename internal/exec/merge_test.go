@@ -95,6 +95,12 @@ func TestOrderedMerge(t *testing.T) {
 	if _, err := NewOrderedMerge([]Operator{mk(0)}, "nope", false); err == nil {
 		t.Fatal("unknown column must fail")
 	}
+	// A vector column has no order; the merge refuses it in the sorts' words.
+	vs := mergeSchema(t, table.Column{Name: "f", Type: table.FloatVec})
+	_, err = NewOrderedMerge([]Operator{NewMemScan(vs, nil), NewMemScan(vs, nil)}, "f", false)
+	if err == nil || err.Error() != `exec: cannot sort by vector column "f"` {
+		t.Fatalf("vector merge: err = %v", err)
+	}
 }
 
 // TestMergeAggregateMatchesSingleNode partitions rows across three "shards",

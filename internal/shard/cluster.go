@@ -11,7 +11,6 @@ import (
 
 	"tensorbase/internal/catalog"
 	"tensorbase/internal/engine"
-	"tensorbase/internal/exec"
 	"tensorbase/internal/nn"
 	"tensorbase/internal/obs"
 	"tensorbase/internal/sql"
@@ -20,8 +19,8 @@ import (
 
 // Cluster is the scatter-gather coordinator over a fixed set of shard
 // nodes. It owns the shard map (table → key column) and plans every
-// statement: pinned single-shard reads, scattered reads with exec-tree
-// merges, hash-split INSERTs, and broadcast DDL/model loads.
+// statement: pinned single-shard reads, scattered reads merged at the
+// coordinator, hash-split INSERTs, and broadcast DDL/model loads.
 type Cluster struct {
 	nodes     []Node
 	smap      *catalog.ShardMap
@@ -252,7 +251,7 @@ func (c *Cluster) createTable(ctx context.Context, st *sql.CreateTable, sess *Se
 func (c *Cluster) insert(ctx context.Context, st *sql.Insert, sess *Session) (*engine.Result, error) {
 	info, ok := c.smap.Info(st.Table)
 	if !ok {
-		return nil, fmt.Errorf("shard: unknown table %q", st.Table)
+		return nil, fmt.Errorf("%w %q", catalog.ErrNoTable, st.Table)
 	}
 	keyIdx := info.Schema.ColIndex(info.Key)
 	if keyIdx < 0 {
@@ -283,14 +282,15 @@ func (c *Cluster) insert(ctx context.Context, st *sql.Insert, sess *Session) (*e
 }
 
 // Select plans and runs one read. A WHERE that pins the shard key with `=`
-// routes to that key's shard alone; everything else scatters.
+// routes to that key's shard alone; everything else scatters, split by
+// engine.SplitSelect into the statement each shard runs and the merge.
 func (c *Cluster) Select(ctx context.Context, st *sql.Select, sess *Session) (*engine.Result, error) {
 	if len(st.With) > 0 {
 		return c.selectCTE(ctx, st, sess)
 	}
 	info, ok := c.smap.Info(st.From)
 	if !ok {
-		return nil, fmt.Errorf("shard: unknown table %q", st.From)
+		return nil, fmt.Errorf("%w %q", catalog.ErrNoTable, st.From)
 	}
 	if lit, pinned := st.KeyPin(info.Key); pinned {
 		keyIdx := info.Schema.ColIndex(info.Key)
@@ -308,167 +308,19 @@ func (c *Cluster) Select(ctx context.Context, st *sql.Select, sess *Session) (*e
 		// single node would.
 	}
 	c.scattered.Add(1)
-	if st.GroupBy != "" || st.HasAggregate() {
-		return c.scatterAggregate(ctx, st, sess)
+	frag, merge, err := engine.SplitSelect(st)
+	if err != nil {
+		return nil, err
 	}
-	return c.scatterScan(ctx, st, sess)
-}
-
-// scatter fans one read to every shard and gathers the partial results in
-// shard order.
-func (c *Cluster) scatter(ctx context.Context, sqlText string, sess *Session) ([]*engine.Result, error) {
-	results := make([]*engine.Result, len(c.nodes))
-	err := c.fanOut(func(i int, n Node) error {
-		var err error
-		results[i], err = n.Query(ctx, sqlText, sess.floor(i))
+	text := sql.Render(frag)
+	parts := make([]*engine.Result, len(c.nodes))
+	if err := c.fanOut(func(i int, n Node) (err error) {
+		parts[i], err = n.Query(ctx, text, sess.floor(i))
 		return err
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
 	}
-	return results, nil
-}
-
-// mergeResult collects a merge operator tree into a Result.
-func mergeResult(op exec.Operator) (*engine.Result, error) {
-	rows, err := exec.Collect(op)
-	if err != nil {
-		return nil, err
-	}
-	return &engine.Result{Schema: op.Schema(), Rows: rows}, nil
-}
-
-// scatterScan pushes the whole SELECT (filter, PREDICT, projection, order,
-// limit) to every shard and merges: an ordered merge preserves a pushed
-// ORDER BY, otherwise partials concatenate in shard order. A pushed LIMIT
-// is correct per shard (each returns its local top-n) and re-applied
-// globally after the merge.
-func (c *Cluster) scatterScan(ctx context.Context, st *sql.Select, sess *Session) (*engine.Result, error) {
-	results, err := c.scatter(ctx, sql.Render(st), sess)
-	if err != nil {
-		return nil, err
-	}
-	ins := make([]exec.Operator, len(results))
-	for i, r := range results {
-		ins[i] = exec.NewMemScan(r.Schema, r.Rows)
-	}
-	var op exec.Operator
-	if st.OrderBy != "" {
-		om, err := exec.NewOrderedMerge(ins, st.OrderBy, st.OrderDesc)
-		if err != nil {
-			return nil, err
-		}
-		op = om
-	} else {
-		cc, err := exec.NewConcat(ins...)
-		if err != nil {
-			return nil, err
-		}
-		op = cc
-	}
-	if st.Limit >= 0 {
-		op = exec.NewLimit(op, st.Limit)
-	}
-	return mergeResult(op)
-}
-
-// scatterAggregate decomposes the aggregate into per-shard partials and a
-// coordinator merge: COUNT/SUM/MIN/MAX push down unchanged, AVG becomes
-// SUM+COUNT on the shards and a quotient at the merge, GROUP BY groups
-// merge by key. The merged output then goes through the original
-// projection order, ORDER BY, and LIMIT.
-func (c *Cluster) scatterAggregate(ctx context.Context, st *sql.Select, sess *Session) (*engine.Result, error) {
-	var partialItems []sql.SelectItem
-	index := make(map[string]int)
-	add := func(it sql.SelectItem, name string) int {
-		if i, ok := index[name]; ok {
-			return i
-		}
-		index[name] = len(partialItems)
-		partialItems = append(partialItems, it)
-		return len(partialItems) - 1
-	}
-	groupN := 0
-	if st.GroupBy != "" {
-		add(sql.SelectItem{Col: st.GroupBy}, st.GroupBy)
-		groupN = 1
-	}
-	var finals []exec.FinalAgg
-	for _, it := range st.Items {
-		if it.Agg == nil {
-			switch {
-			case it.Predict != nil:
-				return nil, engine.ErrPredictWithAggregate
-			case it.Star:
-				return nil, engine.ErrStarWithAggregate
-			case it.Col != st.GroupBy:
-				return nil, fmt.Errorf("shard: column %q must appear in GROUP BY", it.Col)
-			}
-			continue
-		}
-		agg := it.Agg
-		switch agg.Fn {
-		case "COUNT":
-			arg := add(sql.SelectItem{Agg: &sql.AggExpr{Fn: "COUNT"}}, "count")
-			finals = append(finals, exec.FinalAgg{Kind: exec.Count, Arg: arg, As: agg.OutName()})
-		case "SUM":
-			arg := add(sql.SelectItem{Agg: &sql.AggExpr{Fn: "SUM", Col: agg.Col}}, "sum_"+agg.Col)
-			finals = append(finals, exec.FinalAgg{Kind: exec.Sum, Arg: arg, As: agg.OutName()})
-		case "AVG":
-			sumArg := add(sql.SelectItem{Agg: &sql.AggExpr{Fn: "SUM", Col: agg.Col}}, "sum_"+agg.Col)
-			cntArg := add(sql.SelectItem{Agg: &sql.AggExpr{Fn: "COUNT"}}, "count")
-			finals = append(finals, exec.FinalAgg{Kind: exec.Avg, Arg: sumArg, Count: cntArg, As: agg.OutName()})
-		case "MIN":
-			arg := add(sql.SelectItem{Agg: &sql.AggExpr{Fn: "MIN", Col: agg.Col}}, "min_"+agg.Col)
-			finals = append(finals, exec.FinalAgg{Kind: exec.Min, Arg: arg, As: agg.OutName()})
-		case "MAX":
-			arg := add(sql.SelectItem{Agg: &sql.AggExpr{Fn: "MAX", Col: agg.Col}}, "max_"+agg.Col)
-			finals = append(finals, exec.FinalAgg{Kind: exec.Max, Arg: arg, As: agg.OutName()})
-		default:
-			return nil, fmt.Errorf("shard: unknown aggregate %q", agg.Fn)
-		}
-	}
-	partial := &sql.Select{Items: partialItems, From: st.From, Where: st.Where, GroupBy: st.GroupBy, Limit: -1}
-	results, err := c.scatter(ctx, sql.Render(partial), sess)
-	if err != nil {
-		return nil, err
-	}
-	ins := make([]exec.Operator, len(results))
-	for i, r := range results {
-		ins[i] = exec.NewMemScan(r.Schema, r.Rows)
-	}
-	var op exec.Operator
-	ma, err := exec.NewMergeAggregate(ins, groupN, finals)
-	if err != nil {
-		return nil, err
-	}
-	op = ma
-	// Re-project to the query's item order (the merge emits group cols
-	// first, then finals in partial order).
-	var cols []string
-	for _, it := range st.Items {
-		if it.Agg != nil {
-			cols = append(cols, it.Agg.OutName())
-		} else {
-			cols = append(cols, it.Col)
-		}
-	}
-	proj, err := exec.NewProject(op, cols...)
-	if err != nil {
-		return nil, err
-	}
-	op = proj
-	if st.OrderBy != "" {
-		srt, err := exec.NewSort(op, st.OrderBy, st.OrderDesc)
-		if err != nil {
-			return nil, err
-		}
-		op = srt
-	}
-	if st.Limit >= 0 {
-		op = exec.NewLimit(op, st.Limit)
-	}
-	return mergeResult(op)
+	return merge(parts)
 }
 
 // selectCTE materialises the referenced CTE body through the cluster

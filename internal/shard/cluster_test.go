@@ -136,6 +136,11 @@ var matrixQueries = []string{
 	"(SELECT id, who FROM tx WHERE id = 3)",
 	"-- point read\nSELECT id, amount FROM tx WHERE id = 11",
 	"SELECT id FROM tx WHERE id = 999", // pinned, empty everywhere
+	"SELECT who, COUNT(*) FROM tx GROUP BY who ORDER BY count DESC LIMIT 1",
+	"SELECT AVG(amount), SUM(amount), COUNT(*), AVG(id) FROM tx", // shared partials
+	"SELECT MIN(id), MAX(id) FROM tx WHERE amount > 3",
+	"SELECT COUNT(*) FROM tx WHERE id < 0",
+	"SELECT id FROM tx ORDER BY id LIMIT 0",
 }
 
 func TestScatterMatchesSingleNode(t *testing.T) {
@@ -155,6 +160,37 @@ func TestScatterMatchesSingleNode(t *testing.T) {
 					t.Fatalf("cluster %s: %v", q, err)
 				}
 				mustEqualResults(t, q, want, got)
+			}
+
+			// ORDER BY ties: the ordered merge emits each tie group in
+			// shard order, not a single node's scan order. The sort keys
+			// match in sequence and the rows match as a multiset.
+			if shards > 1 {
+				q := "SELECT who, id FROM tx ORDER BY who"
+				want, err := ref.Query(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := cl.Exec(context.Background(), q, sess)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got.Rows) != len(want.Rows) {
+					t.Fatalf("%s: %d rows, want %d", q, len(got.Rows), len(want.Rows))
+				}
+				rows := make(map[string]int)
+				for i := range want.Rows {
+					if !want.Rows[i][0].Equal(got.Rows[i][0]) {
+						t.Fatalf("%s: row %d key %v, want %v", q, i, got.Rows[i][0], want.Rows[i][0])
+					}
+					rows[fmt.Sprint(want.Rows[i])]++
+					rows[fmt.Sprint(got.Rows[i])]--
+				}
+				for r, n := range rows {
+					if n != 0 {
+						t.Fatalf("%s: row %s count differs by %d", q, r, n)
+					}
+				}
 			}
 
 			// Nearest: the shards' local top-k merge to the global top-k.
@@ -195,6 +231,11 @@ var errorParityQueries = []string{
 	"WITH b AS (SELECT id, who FROM tx) SELECT *, id FROM b",
 	"WITH b AS (SELECT id, who FROM tx) SELECT id, COUNT(*) FROM b GROUP BY who",
 	"WITH b AS (SELECT id, f FROM tx) SELECT PREDICT(m4, f), PREDICT(m4, f) FROM b",
+	"SELECT who, COUNT(*) FROM tx GROUP BY nope",
+	"SELECT who, COUNT(*) FROM tx GROUP BY who ORDER BY id",
+	"WITH b AS (SELECT id, who FROM tx) SELECT id FROM b ORDER BY nope",
+	"SELECT id FROM nope",
+	"SELECT COUNT(*) FROM nope",
 }
 
 func TestScatterErrorsMatchSingleNode(t *testing.T) {

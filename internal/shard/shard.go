@@ -6,11 +6,9 @@
 //
 //   - a SELECT whose WHERE pins the shard key with `=` routes to exactly
 //     one shard (the pinned fast path, counted separately from scatters);
-//   - any other read scatters a rewritten subplan to every shard and merges
-//     the partials through the exec operator tree — Concat for unordered
-//     scans, OrderedMerge for sorted ones, MergeAggregate for partial
-//     aggregates (AVG decomposed into SUM+COUNT on the shards), and a
-//     distance-ordered top-k merge for Nearest;
+//   - any other read scatters: engine.SplitSelect gives the statement every
+//     shard runs and the merge that combines their results through the
+//     engine's own SELECT compiler (Nearest merges its top-k by distance);
 //   - an INSERT splits its rows by key hash, DDL and model loads broadcast.
 //
 // Remote traffic runs over wire.FrameConn, so every response stream is
