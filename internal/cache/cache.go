@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -34,12 +35,17 @@ type ResultCache struct {
 	maxEntries int     // 0 = unbounded
 	preds      map[int64][]float32
 	exact      map[string]int64 // featKey → id: O(1) path for identical repeats
-	nextID     int64
+	// first holds every admitted entry's features[0], ascending (NaN
+	// excluded): an exact window that rules out misses before the ANN
+	// search (see mayHit).
+	first  []float32
+	nextID int64
 
 	hits     atomic.Int64
 	misses   atomic.Int64
 	shared   atomic.Int64
 	rejected atomic.Int64
+	searches atomic.Int64
 
 	fmu     sync.Mutex // guards flights, independent of mu
 	flights map[string]*flight
@@ -95,7 +101,8 @@ func (c *ResultCache) Len() int {
 // distance threshold, or ok=false. The returned slice must not be mutated.
 // Concurrent lookups proceed in parallel (read lock): only inserts exclude
 // them. An identical repeat of a cached feature vector is answered from an
-// exact-match map in O(1); the ANN search only runs for near-duplicates.
+// exact-match map in O(1); the ANN search only runs when some entry's first
+// coordinate alone is within the threshold (mayHit).
 func (c *ResultCache) Lookup(features []float32) (pred []float32, ok bool, err error) {
 	if len(features) != c.dim {
 		return nil, false, fmt.Errorf("cache: feature width %d, want %d", len(features), c.dim)
@@ -105,48 +112,88 @@ func (c *ResultCache) Lookup(features []float32) (pred []float32, ok bool, err e
 
 func (c *ResultCache) lookupKeyed(features []float32, key string) (pred []float32, ok bool, err error) {
 	c.mu.RLock()
-	if id, hit := c.exact[key]; hit {
-		p := c.preds[id]
-		c.mu.RUnlock()
-		c.hits.Add(1)
-		return p, true, nil
-	}
-	if c.maxDist == 0 {
-		// Exact-only mode: a zero-distance ANN hit implies bit-identical
-		// features (modulo ±0), which the exact map already answered, so
-		// skip the beam search and make misses O(1) too.
-		c.mu.RUnlock()
-		c.misses.Add(1)
-		return nil, false, nil
-	}
-	res, err := c.index.Search(features, 1)
-	var p []float32
-	found := false
-	if err == nil && len(res) > 0 && res[0].Dist <= c.maxDist {
-		p, found = c.preds[res[0].ID]
-	}
+	pred, ok, err = c.probeLocked(features, key)
 	c.mu.RUnlock()
-	if err != nil {
+	switch {
+	case err != nil:
 		return nil, false, err
-	}
-	if !found {
+	case ok:
+		c.hits.Add(1)
+	default:
 		c.misses.Add(1)
+	}
+	return pred, ok, nil
+}
+
+// probeLocked is the lookup proper, without hit/miss accounting; the caller
+// holds mu for reading.
+func (c *ResultCache) probeLocked(features []float32, key string) ([]float32, bool, error) {
+	if id, hit := c.exact[key]; hit {
+		return c.preds[id], true, nil
+	}
+	if c.maxDist == 0 || !c.mayHit(features[0]) {
+		// Exact-only mode: a zero-distance ANN hit implies bit-identical
+		// features (modulo ±0), which the exact map already answered. An
+		// empty first-coordinate window proves no entry is within maxDist.
+		// Either way the beam search could only miss, so skip it.
 		return nil, false, nil
 	}
-	c.hits.Add(1)
-	return p, true, nil
+	c.searches.Add(1)
+	res, err := c.index.Search(features, 1)
+	if err == nil && len(res) > 0 && res[0].Dist <= c.maxDist {
+		p, found := c.preds[res[0].ID]
+		return p, found, nil
+	}
+	return nil, false, err
+}
+
+// mayHit reports whether some entry's first coordinate alone is within
+// maxDist of q0; the caller holds mu. ann.SquaredL2 sums non-negative
+// float64 terms, and rounded addition is monotone, so an entry's distance
+// is never below its first term t0 = (q0-e0)²: when no entry has
+// t0 <= maxDist, no entry can hit. t0 shrinks toward q0 from either side,
+// so the entries with t0 <= maxDist are one contiguous run of first, and
+// the predicate below is false before that run and true from it on. A NaN
+// q0 is near nothing, and with a finite maxDist neither is an infinite one,
+// as Search's NaN or infinite distances miss. An infinite maxDist is the one
+// exception: t0 is then near everywhere except NaN at e0 == q0 = ±Inf, which
+// splits the run, so the window only checks that an entry exists.
+func (c *ResultCache) mayHit(q0 float32) bool {
+	if math.IsInf(c.maxDist, 1) {
+		return len(c.first) > 0
+	}
+	near := func(e0 float32) bool {
+		d := float64(q0) - float64(e0)
+		return d*d <= c.maxDist
+	}
+	i := sort.Search(len(c.first), func(i int) bool { return c.first[i] >= q0 || near(c.first[i]) })
+	return i < len(c.first) && near(c.first[i])
+}
+
+// full reports whether the entry cap is reached; the caller holds mu.
+func (c *ResultCache) full() bool {
+	return c.maxEntries > 0 && c.index.Len() >= c.maxEntries
 }
 
 // Insert caches prediction under the given features. When the entry cap is
 // reached the insert is silently rejected (admission control: HNSW does not
-// support deletion, so the cache stops growing instead of evicting).
+// support deletion, so the cache stops growing instead of evicting). Entries
+// only grow, so a full cache rejects under the read lock without stalling
+// concurrent lookups.
 func (c *ResultCache) Insert(features, prediction []float32) error {
 	if len(features) != c.dim {
 		return fmt.Errorf("cache: feature width %d, want %d", len(features), c.dim)
 	}
+	c.mu.RLock()
+	full := c.full()
+	c.mu.RUnlock()
+	if full {
+		c.rejected.Add(1)
+		return nil
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.maxEntries > 0 && c.index.Len() >= c.maxEntries {
+	if c.full() {
 		c.rejected.Add(1)
 		return nil
 	}
@@ -157,6 +204,12 @@ func (c *ResultCache) Insert(features, prediction []float32) error {
 	}
 	c.preds[id] = append([]float32(nil), prediction...)
 	c.exact[featKey(features)] = id
+	if f0 := features[0]; !math.IsNaN(float64(f0)) { // NaN never hits and would break the order
+		i := sort.Search(len(c.first), func(i int) bool { return c.first[i] >= f0 })
+		c.first = append(c.first, 0)
+		copy(c.first[i+1:], c.first[i:])
+		c.first[i] = f0
+	}
 	return nil
 }
 
@@ -171,6 +224,7 @@ type Counters struct {
 	Misses   int64 // lookups that fell through to the model
 	Shared   int64 // misses that reused another request's in-flight result
 	Rejected int64 // inserts dropped by the max-entries cap
+	Searches int64 // lookups that ran the ANN search
 	Entries  int   // current cached entries
 }
 
@@ -181,6 +235,7 @@ func (c *ResultCache) Counters() Counters {
 		Misses:   c.misses.Load(),
 		Shared:   c.shared.Load(),
 		Rejected: c.rejected.Load(),
+		Searches: c.searches.Load(),
 		Entries:  c.Len(),
 	}
 }

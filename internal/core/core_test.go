@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"tensorbase/internal/dlruntime"
@@ -452,6 +453,35 @@ func TestPlanCacheConservativeForSmallerBatches(t *testing.T) {
 	// conservative (memory-safe) choice for the smaller batch.
 	if plan.Decisions[0].Repr != ReprRelation {
 		t.Fatalf("plan = %s", plan.Explain())
+	}
+}
+
+// TestPlanCacheConcurrentHitsCount serves ladder hits from several
+// goroutines at once: every hit is counted, none as a miss, and (under
+// -race) counting needs no lock.
+func TestPlanCacheConcurrentHitsCount(t *testing.T) {
+	m := nn.FraudFC(rand.New(rand.NewSource(74)), 16)
+	pc, err := NewPlanCache(NewOptimizer(1<<30), m, []int{16, 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, calls = 8, 200
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				if _, err := pc.PlanFor(1 + i%256); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if hits, misses := pc.Stats(); hits != workers*calls || misses != 0 {
+		t.Fatalf("stats = %d/%d, want %d/0", hits, misses, workers*calls)
 	}
 }
 

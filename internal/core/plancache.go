@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"tensorbase/internal/nn"
 )
@@ -22,9 +23,10 @@ type PlanCache struct {
 	mu      sync.RWMutex
 	batches []int // sorted ascending
 	plans   map[int]*InferencePlan
-	// misses counts PlanFor calls that had to compile at runtime.
-	misses int64
-	hits   int64
+	// misses counts PlanFor calls that had to compile at runtime. Both
+	// counters are atomics so a ladder hit never takes the write lock.
+	misses atomic.Int64
+	hits   atomic.Int64
 }
 
 // DefaultPlanLadder is the batch ladder compiled at load time.
@@ -64,9 +66,7 @@ func (c *PlanCache) PlanFor(batch int) (*InferencePlan, error) {
 	if idx < len(c.batches) {
 		plan := c.plans[c.batches[idx]]
 		c.mu.RUnlock()
-		c.mu.Lock()
-		c.hits++
-		c.mu.Unlock()
+		c.hits.Add(1)
 		return plan, nil
 	}
 	c.mu.RUnlock()
@@ -75,9 +75,9 @@ func (c *PlanCache) PlanFor(batch int) (*InferencePlan, error) {
 	if err != nil {
 		return nil, err
 	}
+	c.misses.Add(1)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.misses++
 	if _, dup := c.plans[batch]; !dup {
 		c.plans[batch] = plan
 		c.batches = append(c.batches, batch)
@@ -88,9 +88,7 @@ func (c *PlanCache) PlanFor(batch int) (*InferencePlan, error) {
 
 // Stats returns cache hits (ladder served) and misses (runtime compiles).
 func (c *PlanCache) Stats() (hits, misses int64) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.hits, c.misses
+	return c.hits.Load(), c.misses.Load()
 }
 
 // Ladder returns the compiled batch sizes, ascending.

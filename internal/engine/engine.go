@@ -313,24 +313,24 @@ func (db *DB) registerMetrics() {
 	r.CounterFunc("tensorbase_cache_hits_total", "PREDICT rows answered from a result cache", func() float64 { return float64(db.inferStats.Hits.Load()) })
 	r.CounterFunc("tensorbase_cache_misses_total", "PREDICT rows that ran the model", func() float64 { return float64(db.inferStats.Misses.Load()) })
 	r.CounterFunc("tensorbase_cache_shared_total", "PREDICT rows that joined another request's flight", func() float64 { return float64(db.inferStats.Shared.Load()) })
-	r.CounterFunc("tensorbase_cache_rejected_total", "result-cache inserts rejected by the admission cap", func() float64 {
-		var n int64
-		db.cmu.Lock()
-		for _, rc := range db.caches {
-			n += rc.Counters().Rejected
+	// sumCaches reads one counter summed over every model's result cache.
+	sumCaches := func(get func(cache.Counters) int64) func() float64 {
+		return func() float64 {
+			var n int64
+			db.cmu.Lock()
+			for _, rc := range db.caches {
+				n += get(rc.Counters())
+			}
+			db.cmu.Unlock()
+			return float64(n)
 		}
-		db.cmu.Unlock()
-		return float64(n)
-	})
-	r.GaugeFunc("tensorbase_cache_entries", "entries across all result caches", func() float64 {
-		var n int
-		db.cmu.Lock()
-		for _, rc := range db.caches {
-			n += rc.Len()
-		}
-		db.cmu.Unlock()
-		return float64(n)
-	})
+	}
+	r.CounterFunc("tensorbase_cache_rejected_total", "result-cache inserts rejected by the admission cap",
+		sumCaches(func(c cache.Counters) int64 { return c.Rejected }))
+	r.CounterFunc("tensorbase_cache_ann_searches_total", "result-cache lookups that ran the ANN search",
+		sumCaches(func(c cache.Counters) int64 { return c.Searches }))
+	r.GaugeFunc("tensorbase_cache_entries", "entries across all result caches",
+		sumCaches(func(c cache.Counters) int64 { return int64(c.Entries) }))
 	r.CounterFunc("tensorbase_predict_udf_calls_total", "model batch invocations", func() float64 { return float64(db.inferStats.UDFCalls.Load()) })
 	r.CounterFunc("tensorbase_predict_batches_total", "PREDICT micro-batches processed", func() float64 { return float64(db.inferStats.Batches.Load()) })
 	r.CounterFunc("tensorbase_predict_batches_allhit_total", "batches that skipped the model entirely", func() float64 { return float64(db.inferStats.BatchesAllHit.Load()) })
