@@ -797,8 +797,8 @@ func BenchmarkPredictServing(b *testing.B) {
 }
 
 // BenchmarkQuantizedPredict compares end-to-end PREDICT over Fraud-FC-256 in
-// f32 against the int8-resident quantized twin (packed SWAR GEMM + columnar
-// batch decode). The micro-batch matches the table width of the kernel
+// f32 against the int8-resident quantized twin (int16-pair int8 GEMM +
+// columnar batch decode). The micro-batch matches the table width of the kernel
 // benchmarks (256×28 × 28×256), so the end-to-end delta here is the kernel
 // win minus everything the serving path adds around it.
 func BenchmarkQuantizedPredict(b *testing.B) {

@@ -340,6 +340,7 @@ func (db *DB) registerMetrics() {
 	r.CounterFunc("tensorbase_kernel_serial_runs_total", "matmul kernels run on the caller's goroutine alone", func() float64 { return float64(tensor.Kernels().SerialRuns) })
 	r.CounterFunc("tensorbase_kernel_fanouts_total", "matmul kernels that drew extra workers from the compute budget", func() float64 { return float64(tensor.Kernels().FanOuts) })
 	r.CounterFunc("tensorbase_kernel_q8_calls_total", "int8 GEMM kernel invocations", func() float64 { return float64(tensor.Kernels().Q8Calls) })
+	r.CounterFunc("tensorbase_kernel_vector_calls_total", "dense-layer kernels that ran on the AVX2 tiles or SSE tail dots", func() float64 { return float64(tensor.Kernels().VectorCalls) })
 	r.CounterFunc("tensorbase_panics_total", "panics contained as query errors", func() float64 { return float64(db.panics.Load() + db.inferStats.Panics.Load()) })
 
 	r.CounterFunc("tensorbase_predict_coalesced_total", "PREDICT rows that rode another query's model invocation", func() float64 { return float64(db.coalesceStats().CoalescedRows) })

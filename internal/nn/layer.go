@@ -104,13 +104,10 @@ func (l *Linear) ParamBytes() int64 {
 }
 
 // Forward implements Layer.
-func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor {
-	y := tensor.MatMulTransB(x, l.W)
-	if l.B != nil {
-		tensor.AddBiasRowsInto(y, l.B)
-	}
-	return y
-}
+func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor { return tensor.Dense(x, l.W, l.B, false) }
+
+// forwardReLU implements reluFuser.
+func (l *Linear) forwardReLU(x *tensor.Tensor) *tensor.Tensor { return tensor.Dense(x, l.W, l.B, true) }
 
 // Conv2D is a stride-1, no-padding convolution with an OHWI kernel,
 // matching Table 2's configuration.

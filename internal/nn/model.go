@@ -59,19 +59,30 @@ func (m *Model) OutShape(batch int) ([]int, error) {
 }
 
 // Forward runs the full model over a batch.
-func (m *Model) Forward(x *tensor.Tensor) *tensor.Tensor {
-	for _, l := range m.Layers {
-		x = l.Forward(x)
-	}
-	return x
+func (m *Model) Forward(x *tensor.Tensor) *tensor.Tensor { return m.ForwardFrom(x, 0) }
+
+// reluFuser is a layer that can apply a following ReLU in its own output
+// pass, with the bits of running the two layers one after the other.
+type reluFuser interface {
+	forwardReLU(x *tensor.Tensor) *tensor.Tensor
 }
 
 // ForwardFrom runs layers [from, len) over x. It is used by the fine-grained
 // UDF execution paths, where earlier operators have already been evaluated
-// (possibly relation-centrically).
+// (possibly relation-centrically). A Linear or QuantLinear followed by
+// ReLU runs as one pass; code that runs one layer at a time gets the same
+// bits.
 func (m *Model) ForwardFrom(x *tensor.Tensor, from int) *tensor.Tensor {
-	for _, l := range m.Layers[from:] {
-		x = l.Forward(x)
+	layers := m.Layers[from:]
+	for i := 0; i < len(layers); i++ {
+		if f, ok := layers[i].(reluFuser); ok && i+1 < len(layers) {
+			if _, relu := layers[i+1].(ReLU); relu {
+				x = f.forwardReLU(x)
+				i++
+				continue
+			}
+		}
+		x = layers[i].Forward(x)
 	}
 	return x
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sync"
 
 	"tensorbase/internal/tensor"
 )
@@ -15,9 +14,9 @@ import (
 // versions (Sec. 4) are only worth serving if the int8 weights stay int8 at
 // run time. LoadQuantizedResident builds a model whose Linear/Conv2D layers
 // hold their weights as int8 + per-output-channel scales — one quarter the
-// weight bytes — pre-packed into the SWAR panel layout, and quantize their
-// activations per batch on entry so the forward pass runs the packed int8
-// GEMM instead of the f32 kernel.
+// weight bytes — held as tensor.Q8Pairs (int16 pairs, 2 bytes a weight),
+// and quantize their activations per batch on entry so the forward pass
+// runs the int8 GEMM (tensor.DenseQ8) instead of the f32 kernel.
 
 // QuantTensor is an int8-quantized tensor: Shape, one scale per dim-0
 // slice (output channel), and the row-major int8 payload.
@@ -41,30 +40,27 @@ func (q *QuantTensor) Dequantize() *tensor.Tensor {
 	return t
 }
 
-// q8MinN is the narrowest output width the packed int8 GEMM path serves.
-// Quantizing and packing the activation batch costs O(m·k) no matter how
-// small n is; below this width the int8 GEMM is too tiny to amortise that
-// pass (a 2-class head over a 256-wide hidden layer would spend more time
+// q8MinN is the narrowest output width the int8 GEMM path serves.
+// Quantizing the activation batch costs O(m·k) no matter how small n is;
+// below this width the int8 GEMM is too tiny to amortise that pass (a
+// 2-class head over a 256-wide hidden layer would spend more time
 // quantizing its input than the f32 kernel spends on the whole product).
 // Such layers keep a dequantized f32 copy of their already
 // quantization-rounded weights and run the f32 kernel — same resident
 // int8 source of truth, cheaper execution.
 const q8MinN = 8
 
-// qGemm holds the packed weight side of an int8 GEMM: n output channels of
-// k weights in the PackQ8B panel layout, plus what the forward pass needs
-// to quantize and pack a batch of activations. Narrow layers (n < q8MinN)
-// hold a dequantized f32 weight copy in wf instead of packed lanes.
+// qGemm holds the weight side of an int8 GEMM: n output channels of k
+// weights as int16 pairs. Narrow layers (n < q8MinN) hold a dequantized f32
+// weight copy in wf instead.
 type qGemm struct {
-	k, n    int
-	bLanes  []uint64
-	bSums   []int32
-	bScales []float32
-	wf      *tensor.Tensor // (n,k) dequantized weights when n < q8MinN, else nil
+	k, n  int
+	pairs *tensor.Q8Pairs
+	wf    *tensor.Tensor // (n,k) dequantized weights when n < q8MinN, else nil
 }
 
 func newQGemm(w8 []int8, scales []float32, n, k int) qGemm {
-	g := qGemm{k: k, n: n, bScales: scales}
+	g := qGemm{k: k, n: n}
 	if n < q8MinN {
 		g.wf = tensor.New(n, k)
 		data := g.wf.Data()
@@ -76,61 +72,31 @@ func newQGemm(w8 []int8, scales []float32, n, k int) qGemm {
 		}
 		return g
 	}
-	g.bLanes = make([]uint64, tensor.Q8BLanes(n, k))
-	g.bSums = make([]int32, n)
-	tensor.PackQ8B(g.bLanes, g.bSums, w8, n, k)
+	g.pairs = tensor.NewQ8Pairs(w8, scales, n, k)
 	return g
 }
 
-// qScratch is the per-call activation workspace of qGemm.apply, pooled so
-// the serving hot path does not allocate (and zero) fresh pack buffers for
-// every micro-batch. QuantizePackQ8A fully overwrites every field it uses,
-// so dirty reuse is safe.
-type qScratch struct {
-	lanes  []uint64
-	sums   []int32
-	scales []float32
-}
-
-var qScratchPool = sync.Pool{New: func() any { return new(qScratch) }}
-
-// apply quantizes the (m,k) f32 batch per row, packs it, and runs the
-// packed int8 GEMM into a fresh (m,n) tensor. Quantize and pack are one
-// fused pass (no intermediate int8 matrix), with pooled scratch for the
-// packed image. Per-ROW activation scales make each output row a function
-// of that row alone, so batch composition (coalescing, pipelining,
-// caching) cannot change any row's bits.
-func (g *qGemm) apply(x *tensor.Tensor, m int) *tensor.Tensor {
+// apply runs the (m,k) f32 batch x through the layer's GEMM, with bias
+// (nil for none) and ReLU folded in. Per-ROW activation scales make each
+// output row a function of that row alone, so batch composition
+// (coalescing, pipelining, caching) cannot change any row's bits.
+func (g *qGemm) apply(x, bias *tensor.Tensor, relu bool) *tensor.Tensor {
 	if g.wf != nil {
 		// Narrow layer: f32 kernel over the dequantized weight copy. Row i
 		// of the product reads only row i of x, so batch-composition
-		// bit-identity holds exactly as it does for the packed path.
-		return tensor.MatMulTransB(x, g.wf)
+		// bit-identity holds exactly as it does for the int8 path.
+		return tensor.Dense(x, g.wf, bias, relu)
 	}
-	words := tensor.Q8Lanes(g.k)
-	s := qScratchPool.Get().(*qScratch)
-	if cap(s.lanes) < m*words {
-		s.lanes = make([]uint64, m*words)
-	}
-	if cap(s.sums) < m {
-		s.sums = make([]int32, m)
-		s.scales = make([]float32, m)
-	}
-	lanes, sums, scales := s.lanes[:m*words], s.sums[:m], s.scales[:m]
-	tensor.QuantizePackQ8A(lanes, sums, scales, x.Data(), m, g.k)
-	y := tensor.New(m, g.n)
-	tensor.MatMulQ8PackedInto(y, lanes, sums, scales, g.bLanes, g.bSums, g.bScales, m, g.k, g.n)
-	qScratchPool.Put(s)
-	return y
+	return tensor.DenseQ8(x, g.pairs, bias, relu)
 }
 
-// paramBytes is the resident footprint of the weights — packed lanes for
+// paramBytes is the resident footprint of the weights — int16 pairs for
 // wide layers, the dequantized f32 copy for narrow ones.
 func (g *qGemm) paramBytes() int64 {
 	if g.wf != nil {
-		return g.wf.Bytes() + int64(len(g.bScales))*4
+		return g.wf.Bytes() + int64(g.n)*4
 	}
-	return int64(len(g.bLanes))*8 + int64(len(g.bSums))*4 + int64(len(g.bScales))*4
+	return g.pairs.Bytes()
 }
 
 // QuantLinear is a fully connected layer whose weights stay resident as
@@ -175,11 +141,11 @@ func (l *QuantLinear) OutShape(in []int) ([]int, error) {
 }
 
 // MemEstimate implements Layer with the paper's m·k + k·n + m·n rule; the
-// k·n weight term is int8 so it counts a quarter, and the quantized+packed
+// k·n weight term is int16 pairs so it counts a half, and the quantized
 // activation image roughly doubles the m·k term.
 func (l *QuantLinear) MemEstimate(in []int) int64 {
 	m, k, n := int64(in[0]), int64(l.In()), int64(l.Out())
-	return (2*m*k+m*n)*bytesPerElem + k*n
+	return (2*m*k+m*n)*bytesPerElem + 2*k*n
 }
 
 // ParamBytes implements Layer.
@@ -192,18 +158,15 @@ func (l *QuantLinear) ParamBytes() int64 {
 }
 
 // Forward implements Layer.
-func (l *QuantLinear) Forward(x *tensor.Tensor) *tensor.Tensor {
-	y := l.gemm.apply(x, x.Dim(0))
-	if l.B != nil {
-		tensor.AddBiasRowsInto(y, l.B)
-	}
-	return y
-}
+func (l *QuantLinear) Forward(x *tensor.Tensor) *tensor.Tensor { return l.gemm.apply(x, l.B, false) }
+
+// forwardReLU implements reluFuser.
+func (l *QuantLinear) forwardReLU(x *tensor.Tensor) *tensor.Tensor { return l.gemm.apply(x, l.B, true) }
 
 // QuantConv2D is a stride-1, no-padding convolution whose OHWI kernel stays
 // resident as int8 with per-output-channel scales. It always executes via
-// im2col: the patch matrix rows are quantized per row and hit the packed
-// int8 GEMM. Each patch row reads only its own sample's pixels, so per-row
+// im2col: the patch matrix rows are quantized per row and hit the int8
+// GEMM. Each patch row reads only its own sample's pixels, so per-row
 // activation scales keep the quantized convolution batch-composition
 // independent, exactly like QuantLinear.
 type QuantConv2D struct {
@@ -248,7 +211,7 @@ func (c *QuantConv2D) MemEstimate(in []int) int64 {
 		return 0
 	}
 	rows := int64(out[0]) * int64(out[1]) * int64(out[2])
-	return (2*rows*int64(c.gemm.k)+volume(out))*bytesPerElem + int64(c.gemm.n)*int64(c.gemm.k)
+	return (2*rows*int64(c.gemm.k)+volume(out))*bytesPerElem + 2*int64(c.gemm.n)*int64(c.gemm.k)
 }
 
 // ParamBytes implements Layer.
@@ -259,13 +222,13 @@ func (c *QuantConv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	n, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
 	oh, ow := h-c.kh+1, w-c.kw+1
 	f := tensor.Im2Col(x, c.kh, c.kw) // (n·oh·ow, kh·kw·inC)
-	y := c.gemm.apply(f, f.Dim(0))
+	y := c.gemm.apply(f, nil, false)
 	return y.Reshape(n, oh, ow, c.gemm.n)
 }
 
 // LoadQuantizedResident reads a TBQ1 model keeping the weights quantized:
-// Linear/Conv2D layers become QuantLinear/QuantConv2D running the packed
-// int8 GEMM, everything else loads as usual.
+// Linear/Conv2D layers become QuantLinear/QuantConv2D running the int8
+// GEMM, everything else loads as usual.
 func LoadQuantizedResident(r io.Reader) (*Model, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(quantMagic))

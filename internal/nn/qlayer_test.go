@@ -91,10 +91,10 @@ func TestQuantizeResidentShrinksWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The packed SWAR panels cost 8 bytes per 3 weights plus chunk/panel
-	// padding, so the resident image lands near 2/3 of f32 — smaller than
-	// full precision, though above the 1/4 of the raw int8 payload the
-	// TBQ1 file stores (TestSaveQuantizedIsSmaller covers that ratio).
+	// The int16 pair panels cost 2 bytes per weight, so the wide layer's
+	// resident image is half of f32 (the narrow head stays f32) — smaller
+	// than full precision, though above the 1/4 of the raw int8 payload
+	// the TBQ1 file stores (TestSaveQuantizedIsSmaller covers that ratio).
 	if q.ParamBytes() >= m.ParamBytes() {
 		t.Fatalf("resident %d bytes vs f32 %d, want smaller", q.ParamBytes(), m.ParamBytes())
 	}

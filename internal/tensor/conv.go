@@ -21,7 +21,7 @@ func Conv2D(input, kernel *Tensor) *Tensor {
 							inOff := ((b*h+y+ky)*w + x + kx) * c
 							kOff := ((o*kh+ky)*kw + kx) * c
 							for ch := 0; ch < c; ch++ {
-								sum += input.data[inOff+ch] * kernel.data[kOff+ch]
+								sum += float32(input.data[inOff+ch] * kernel.data[kOff+ch]) // rounded: no FMA (see axpyUnrolled)
 							}
 						}
 					}

@@ -19,27 +19,30 @@ const matmulParallelThreshold = 1 << 18
 var maxWorkers atomic.Int32
 
 // Process-wide kernel counters, exported through the engine's metrics
-// registry. They count dispatch decisions (fanned-out vs serial) and int8
-// GEMM invocations, not FLOPs.
+// registry. They count dispatch decisions (fanned-out vs serial, vector vs
+// Go loop) and int8 GEMM invocations, not FLOPs.
 var (
-	kernelSerialRuns atomic.Uint64
-	kernelFanOuts    atomic.Uint64
-	kernelQ8Calls    atomic.Uint64
+	kernelSerialRuns  atomic.Uint64
+	kernelFanOuts     atomic.Uint64
+	kernelQ8Calls     atomic.Uint64
+	kernelVectorCalls atomic.Uint64
 )
 
 // KernelStats is a snapshot of the kernel dispatch counters.
 type KernelStats struct {
-	SerialRuns uint64 // kernels that ran on the caller's goroutine alone
-	FanOuts    uint64 // kernels that drew extra workers from the shared budget
-	Q8Calls    uint64 // int8 GEMM invocations (MatMulQ8Into)
+	SerialRuns  uint64 // kernels that ran on the caller's goroutine alone
+	FanOuts     uint64 // kernels that drew extra workers from the shared budget
+	Q8Calls     uint64 // int8 GEMM invocations (MatMulQ8Into, DenseQ8)
+	VectorCalls uint64 // Dense/DenseQ8 calls that ran an AVX2 tile or SSE tail dot
 }
 
 // Kernels returns the process-wide kernel dispatch counters.
 func Kernels() KernelStats {
 	return KernelStats{
-		SerialRuns: kernelSerialRuns.Load(),
-		FanOuts:    kernelFanOuts.Load(),
-		Q8Calls:    kernelQ8Calls.Load(),
+		SerialRuns:  kernelSerialRuns.Load(),
+		FanOuts:     kernelFanOuts.Load(),
+		Q8Calls:     kernelQ8Calls.Load(),
+		VectorCalls: kernelVectorCalls.Load(),
 	}
 }
 
@@ -193,24 +196,27 @@ func matmulAdd(out, a, b []float32, m, k, n int, rows func(out, a, b []float32, 
 // elements — the shared i-k-j inner loop. The 8-wide unroll works on
 // constant-length subslices so the compiler proves all eight accesses in
 // bounds from one slice operation; per-element accumulation order is
-// unchanged from the scalar loop, keeping results bit-identical.
+// unchanged from the scalar loop, keeping results bit-identical. Each
+// product is converted to float32 explicitly: the conversion rounds it, so
+// the compiler may not fuse it with the add into an FMA (on arm64 it does
+// otherwise), and every architecture returns the same bits.
 func axpyUnrolled(orow, brow []float32, av float32) {
 	n := min(len(orow), len(brow))
 	j := 0
 	for ; j+8 <= n; j += 8 {
 		o := orow[j : j+8 : j+8]
 		r := brow[j : j+8 : j+8]
-		o[0] += av * r[0]
-		o[1] += av * r[1]
-		o[2] += av * r[2]
-		o[3] += av * r[3]
-		o[4] += av * r[4]
-		o[5] += av * r[5]
-		o[6] += av * r[6]
-		o[7] += av * r[7]
+		o[0] += float32(av * r[0])
+		o[1] += float32(av * r[1])
+		o[2] += float32(av * r[2])
+		o[3] += float32(av * r[3])
+		o[4] += float32(av * r[4])
+		o[5] += float32(av * r[5])
+		o[6] += float32(av * r[6])
+		o[7] += float32(av * r[7])
 	}
 	for ; j < n; j++ {
-		orow[j] += av * brow[j]
+		orow[j] += float32(av * brow[j])
 	}
 }
 
@@ -245,67 +251,61 @@ func matmulRowsSparse(out, a, b []float32, r0, r1, k, n int) {
 }
 
 // MatMulTransB returns a × bᵀ for shapes (m,k) and (n,k). Weight matrices in
-// the model zoo are stored (out,in), so X × Wᵀ is the hot path.
-func MatMulTransB(a, b *Tensor) *Tensor {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		panic("tensor: MatMulTransB requires 2-D tensors")
+// the model zoo are stored (out,in), so X × Wᵀ is the hot path; it is
+// Dense without bias or ReLU.
+func MatMulTransB(a, b *Tensor) *Tensor { return Dense(a, b, nil, false) }
+
+// matmulTransBRows computes rows [r0,r1) of a × bᵀ: the Go kernel, which
+// the vector kernels reproduce bit for bit and which runs where they do
+// not. The micro-kernel blocks four output columns per pass — one read of
+// the a row feeds four independent dot-product accumulators, which hides
+// the float-add latency chain a single-accumulator loop serialises on —
+// and the n mod 4 tail columns use dotUnrolled.
+func matmulTransBRows(out, a, b []float32, r0, r1, k, n int) {
+	n4 := n &^ 3
+	transBCols4(out, a, b, r0, r1, k, n, 0, n4)
+	if n4 == n {
+		return
 	}
-	m, k := a.shape[0], a.shape[1]
-	n, k2 := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulTransB shape mismatch (%d,%d)×(%d,%d)ᵀ", m, k, n, k2))
+	for i := r0; i < r1; i++ {
+		arow := a[i*k : (i+1)*k : (i+1)*k]
+		for j := n4; j < n; j++ {
+			out[i*n+j] = dotUnrolled(arow, b[j*k:(j+1)*k:(j+1)*k])
+		}
 	}
-	out := New(m, n)
-	workers, release := fanOut(m, m*k*n)
-	if workers == 1 {
-		matmulTransBRows(out.data, a.data, b.data, 0, m, k, n)
-		return out
-	}
-	defer release()
-	bandLoop(m, workers, func(r0, r1 int) {
-		matmulTransBRows(out.data, a.data, b.data, r0, r1, k, n)
-	})
-	return out
 }
 
-// matmulTransBRows computes rows [r0,r1) of a × bᵀ. The micro-kernel blocks
-// four output columns per pass — one read of the a row feeds four
-// independent dot-product accumulators, which hides the float-add latency
-// chain the seed's single-accumulator loop serialised on — and each dot
-// product unrolls four k steps. Accumulation order differs from the seed
-// kernel (a tolerance-level fp difference, not a correctness one); parallel
-// row bands still run this exact kernel, so parallel-vs-serial stays
-// bit-identical.
-func matmulTransBRows(out, a, b []float32, r0, r1, k, n int) {
+// transBCols4 computes columns [j0,j1) of rows [r0,r1) of a × bᵀ, four
+// columns per pass; j1-j0 is a multiple of 4. Each sum runs in k order,
+// s = ((0 + a₀b₀) + a₁b₁) + …, with every product rounded to float32
+// before it is added (see axpyUnrolled).
+func transBCols4(out, a, b []float32, r0, r1, k, n, j0, j1 int) {
 	for i := r0; i < r1; i++ {
 		arow := a[i*k : (i+1)*k : (i+1)*k]
 		orow := out[i*n : (i+1)*n : (i+1)*n]
-		j := 0
-		for ; j+4 <= n; j += 4 {
+		for j := j0; j+4 <= j1; j += 4 {
 			b0 := b[j*k : (j+1)*k : (j+1)*k]
 			b1 := b[(j+1)*k : (j+2)*k : (j+2)*k]
 			b2 := b[(j+2)*k : (j+3)*k : (j+3)*k]
 			b3 := b[(j+3)*k : (j+4)*k : (j+4)*k]
 			var s0, s1, s2, s3 float32
 			for p, av := range arow {
-				s0 += av * b0[p]
-				s1 += av * b1[p]
-				s2 += av * b2[p]
-				s3 += av * b3[p]
+				s0 += float32(av * b0[p])
+				s1 += float32(av * b1[p])
+				s2 += float32(av * b2[p])
+				s3 += float32(av * b3[p])
 			}
 			orow[j] = s0
 			orow[j+1] = s1
 			orow[j+2] = s2
 			orow[j+3] = s3
 		}
-		for ; j < n; j++ {
-			orow[j] = dotUnrolled(arow, b[j*k:(j+1)*k:(j+1)*k])
-		}
 	}
 }
 
 // dotUnrolled is the tail-column dot product: four partial accumulators
-// over a 4-wide k unroll, summed pairwise at the end.
+// over a 4-wide k unroll, the k mod 4 tail added into the first, summed
+// pairwise at the end.
 func dotUnrolled(x, y []float32) float32 {
 	k := min(len(x), len(y))
 	var s0, s1, s2, s3 float32
@@ -313,13 +313,13 @@ func dotUnrolled(x, y []float32) float32 {
 	for ; p+4 <= k; p += 4 {
 		xs := x[p : p+4 : p+4]
 		ys := y[p : p+4 : p+4]
-		s0 += xs[0] * ys[0]
-		s1 += xs[1] * ys[1]
-		s2 += xs[2] * ys[2]
-		s3 += xs[3] * ys[3]
+		s0 += float32(xs[0] * ys[0])
+		s1 += float32(xs[1] * ys[1])
+		s2 += float32(xs[2] * ys[2])
+		s3 += float32(xs[3] * ys[3])
 	}
 	for ; p < k; p++ {
-		s0 += x[p] * y[p]
+		s0 += float32(x[p] * y[p])
 	}
 	return (s0 + s1) + (s2 + s3)
 }

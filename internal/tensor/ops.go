@@ -11,10 +11,7 @@ func ReLUInto(t *Tensor) *Tensor {
 	// are data-dependent coin flips, so the obvious `if v < 0` mispredicts
 	// its way through every post-GEMM sweep; the mask form runs at memory
 	// speed. (−0 maps to +0, which compares equal everywhere it matters.)
-	for i, v := range t.data {
-		b := math.Float32bits(v)
-		t.data[i] = math.Float32frombits(b &^ uint32(int32(b)>>31))
-	}
+	reluSlice(t.data)
 	return t
 }
 

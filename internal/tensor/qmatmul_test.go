@@ -48,60 +48,6 @@ func TestQuantizeRowsQ8Clamps(t *testing.T) {
 	}
 }
 
-// TestQuantizePackQ8AMatchesSeparate: the fused quantize+pack must produce
-// exactly the lanes, sums and scales of QuantizeRowsQ8 followed by PackQ8A
-// — including ragged k (partial last word), pad words, and reuse of dirty
-// scratch buffers (the serving path pools them).
-func TestQuantizePackQ8AMatchesSeparate(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for _, dims := range [][2]int{{1, 1}, {3, 2}, {5, 3}, {4, 28}, {7, 29}, {2, 30}, {9, 31}, {6, 256}} {
-		m, k := dims[0], dims[1]
-		src := make([]float32, m*k)
-		for i := range src {
-			src[i] = float32(rng.NormFloat64() * 10)
-		}
-		// One all-zero row exercises the scale=1 special case.
-		if m > 1 {
-			for j := 0; j < k; j++ {
-				src[k+j] = 0
-			}
-		}
-		words := Q8Lanes(k)
-		a8 := make([]int8, m*k)
-		wantScales := make([]float32, m)
-		QuantizeRowsQ8(a8, wantScales, src, m, k)
-		wantLanes := make([]uint64, m*words)
-		wantSums := make([]int32, m)
-		PackQ8A(wantLanes, wantSums, a8, m, k)
-
-		// Dirty scratch: the fused pass must overwrite every word.
-		gotLanes := make([]uint64, m*words)
-		gotSums := make([]int32, m)
-		gotScales := make([]float32, m)
-		for i := range gotLanes {
-			gotLanes[i] = ^uint64(0)
-		}
-		for i := 0; i < m; i++ {
-			gotSums[i], gotScales[i] = -1, -1
-		}
-		QuantizePackQ8A(gotLanes, gotSums, gotScales, src, m, k)
-
-		for i := range wantLanes {
-			if gotLanes[i] != wantLanes[i] {
-				t.Fatalf("(%d,%d) lane %d: fused %#x, separate %#x", m, k, i, gotLanes[i], wantLanes[i])
-			}
-		}
-		for i := 0; i < m; i++ {
-			if gotSums[i] != wantSums[i] {
-				t.Fatalf("(%d,%d) sum %d: fused %d, separate %d", m, k, i, gotSums[i], wantSums[i])
-			}
-			if math.Float32bits(gotScales[i]) != math.Float32bits(wantScales[i]) {
-				t.Fatalf("(%d,%d) scale %d: fused %v, separate %v", m, k, i, gotScales[i], wantScales[i])
-			}
-		}
-	}
-}
-
 // q8Reference computes the quantized product exactly in integer arithmetic.
 func q8Reference(a8 []int8, aScales []float32, b8 []int8, bScales []float32, m, k, n int) []float32 {
 	out := make([]float32, m*n)
@@ -210,87 +156,6 @@ func TestMatMulQ8WideKernelAgrees(t *testing.T) {
 	}
 }
 
-// The SWAR-packed kernel must be bit-identical to the scalar int8 kernel:
-// same integer dot, same dequantization expression.
-func TestMatMulQ8PackedBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, c := range []struct{ m, k, n int }{
-		{1, 1, 1}, {1, 3, 1}, {2, 4, 3}, {5, 28, 7}, {4, 29, 6}, {3, 30, 9}, {8, 256, 5},
-	} {
-		a8 := make([]int8, c.m*c.k)
-		b8 := make([]int8, c.n*c.k)
-		for i := range a8 {
-			a8[i] = int8(rng.Intn(255) - 127)
-		}
-		for i := range b8 {
-			b8[i] = int8(rng.Intn(255) - 127)
-		}
-		aScales := make([]float32, c.m)
-		bScales := make([]float32, c.n)
-		for i := range aScales {
-			aScales[i] = rng.Float32() + 0.01
-		}
-		for i := range bScales {
-			bScales[i] = rng.Float32() + 0.01
-		}
-		want := New(c.m, c.n)
-		MatMulQ8Into(want, a8, aScales, b8, bScales, c.m, c.k, c.n)
-
-		words := Q8Lanes(c.k)
-		aLanes := make([]uint64, c.m*words)
-		aSums := make([]int32, c.m)
-		bLanes := make([]uint64, Q8BLanes(c.n, c.k))
-		bSums := make([]int32, c.n)
-		PackQ8A(aLanes, aSums, a8, c.m, c.k)
-		PackQ8B(bLanes, bSums, b8, c.n, c.k)
-		got := New(c.m, c.n)
-		MatMulQ8PackedInto(got, aLanes, aSums, aScales, bLanes, bSums, bScales, c.m, c.k, c.n)
-		if !got.Equal(want) {
-			t.Fatalf("(%d,%d,%d): packed kernel differs from scalar int8 kernel", c.m, c.k, c.n)
-		}
-	}
-}
-
-func TestMatMulQ8PackedParallelBitIdentical(t *testing.T) {
-	withProcs(t, 4)
-	withBudget(t, 4)
-	rng := rand.New(rand.NewSource(14))
-	m, k, n := 128, 64, 64
-	a8 := make([]int8, m*k)
-	b8 := make([]int8, n*k)
-	for i := range a8 {
-		a8[i] = int8(rng.Intn(255) - 127)
-	}
-	for i := range b8 {
-		b8[i] = int8(rng.Intn(255) - 127)
-	}
-	aScales := make([]float32, m)
-	bScales := make([]float32, n)
-	for i := range aScales {
-		aScales[i] = rng.Float32() + 0.01
-	}
-	for i := range bScales {
-		bScales[i] = rng.Float32() + 0.01
-	}
-	words := Q8Lanes(k)
-	aLanes := make([]uint64, m*words)
-	aSums := make([]int32, m)
-	bLanes := make([]uint64, Q8BLanes(n, k))
-	bSums := make([]int32, n)
-	PackQ8A(aLanes, aSums, a8, m, k)
-	PackQ8B(bLanes, bSums, b8, n, k)
-
-	SetMaxWorkers(1)
-	serial := New(m, n)
-	MatMulQ8PackedInto(serial, aLanes, aSums, aScales, bLanes, bSums, bScales, m, k, n)
-	SetMaxWorkers(0)
-	par := New(m, n)
-	MatMulQ8PackedInto(par, aLanes, aSums, aScales, bLanes, bSums, bScales, m, k, n)
-	if !par.Equal(serial) {
-		t.Fatal("parallel packed int8 GEMM differs from serial")
-	}
-}
-
 // seedMatMulTransBRows is the pre-unrolling kernel, kept verbatim as the
 // baseline the unrolled kernel is benchmarked and cross-checked against.
 func seedMatMulTransBRows(out, a, b []float32, r0, r1, k, n int) {
@@ -391,29 +256,6 @@ func BenchmarkKernelTransBUnrolled(bm *testing.B) {
 	bm.ReportAllocs()
 	for i := 0; i < bm.N; i++ {
 		matmulTransBRows(out.Data(), a.Data(), b.Data(), 0, benchM, benchK, benchN)
-	}
-}
-
-func BenchmarkKernelQ8Packed(bm *testing.B) {
-	rng := rand.New(rand.NewSource(20))
-	a, b := benchOperands(rng)
-	b8 := make([]int8, benchN*benchK)
-	aScales := make([]float32, benchM)
-	bScales := make([]float32, benchN)
-	QuantizeRowsQ8(b8, bScales, b.Data(), benchN, benchK)
-	words := Q8Lanes(benchK)
-	aLanes := make([]uint64, benchM*words)
-	aSums := make([]int32, benchM)
-	bLanes := make([]uint64, Q8BLanes(benchN, benchK))
-	bSums := make([]int32, benchN)
-	PackQ8B(bLanes, bSums, b8, benchN, benchK)
-	out := New(benchM, benchN)
-	bm.ReportAllocs()
-	for i := 0; i < bm.N; i++ {
-		// The serving path pays quantize + pack per batch; include both
-		// via the fused single-pass form it actually calls.
-		QuantizePackQ8A(aLanes, aSums, aScales, a.Data(), benchM, benchK)
-		matmulQ8PackedRows(out.Data(), aLanes, aSums, aScales, bLanes, bSums, bScales, 0, benchM, benchK, benchN)
 	}
 }
 
