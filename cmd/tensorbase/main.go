@@ -72,7 +72,6 @@ func main() {
 	cacheDist := flag.Float64("cache", -1, "enable per-model result caching with this squared-L2 distance threshold (0 = exact repeats only, negative = off)")
 	cacheMax := flag.Int("cache-max", 0, "result cache admission cap in entries (0 = unbounded)")
 	quantized := flag.Bool("quantized", false, "serve every PREDICT from the model's int8-resident quantized twin (as if each query said OPTIONS (quantized))")
-	coalesceWindow := flag.Duration("coalesce-window", 0, "how long a PREDICT leader waits for other queries to join its model invocation (0 = default)")
 	serve := flag.String("serve", "", "serve SQL-over-HTTP (/query), /metrics, /debug/pprof, and /healthz on this address (e.g. :9090); keeps serving after stdin closes")
 	maxSessions := flag.Int("max-sessions", 0, "SQL-over-HTTP session cap (0 = default)")
 	demo := flag.Bool("demo", false, `seed a demo feature table ("txns") and model ("Fraud-FC-32") so PREDICT works out of the box`)
@@ -90,7 +89,6 @@ func main() {
 		ResultCacheDistance:   max(*cacheDist, 0),
 		ResultCacheMaxEntries: *cacheMax,
 		PredictQuantized:      *quantized,
-		PredictCoalesceWindow: *coalesceWindow,
 		SlowQueryThreshold:    *slowQuery,
 	}
 
@@ -324,8 +322,8 @@ repl:
 // seedDemo creates a fraud feature table and loads a small trained
 // classifier, so a --serve deployment can take PREDICT queries immediately
 // (the CI smoke test drives this). The table is large enough that a full
-// scan spans many PREDICT micro-batches, giving concurrent queries a
-// realistic chance to coalesce.
+// scan spans many PREDICT micro-batches, so concurrent scans overlap on the
+// serving path for the whole of each other's run.
 func seedDemo(db *engine.DB) error {
 	d := data.Fraud(1, 4096)
 	rows, schema, err := d.FeatureRows()

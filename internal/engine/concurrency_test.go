@@ -4,13 +4,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"tensorbase/internal/fault"
 	"tensorbase/internal/table"
@@ -63,7 +63,7 @@ func TestConcurrentInsertSelectPredict(t *testing.T) {
 			}
 		}()
 	}
-	// PREDICT queries (shared lock, model invocations, coalescer).
+	// PREDICT queries (shared lock, model invocations).
 	for p := 0; p < 2; p++ {
 		wg.Add(1)
 		go func() {
@@ -350,87 +350,65 @@ func TestFreeListSurvivesReopen(t *testing.T) {
 	}
 }
 
-// TestConcurrentPredictCoalesces is the tentpole acceptance test: two
-// concurrent cold PREDICTs over the same model must perform fewer model
-// invocations than running them serially would, with the coalesced-rows
-// counter proving rows rode a shared invocation.
-func TestConcurrentPredictCoalesces(t *testing.T) {
-	const rows = 2048
-	db := openDB(t, Options{
-		InferBatch:            64,
-		PredictCoalesceWindow: 50 * time.Millisecond,
-	})
+// TestConcurrentPredictScans: concurrent full-table PREDICT scans over one
+// model each run their own micro-batches and return rows bit-identical to
+// a solo scan. Every query pays exactly ⌈rows / InferBatch⌉ model
+// invocations, whatever else is in flight.
+func TestConcurrentPredictScans(t *testing.T) {
+	const rows, batch, queries = 2048, 64, 4
+	const q = "SELECT id, PREDICT(Fraud-FC-32, features) FROM txns"
+	db := openDB(t, Options{InferBatch: batch})
 	loadFraud(t, db, rows)
-
-	// Batching windows only open while ≥2 PREDICT operators are registered.
-	// On a single-core machine the scheduler can run each query goroutine
-	// to completion before the other's operator opens — each then takes the
-	// (correct) solo direct path and there is nothing to measure. Register
-	// a standing participant, exactly as an open InferOp would, so the
-	// first query's leader parks for the window and the second query
-	// reliably lands inside it; the shared invocations measured below are
-	// still entirely between the two real queries.
-	co, ok := db.coalescerFor("Fraud-FC-32")
-	if !ok {
-		t.Fatal("no coalescer registered for Fraud-FC-32")
+	solo := mustExec(t, db, q).Rows
+	if len(solo) != rows {
+		t.Fatalf("solo scan returned %d rows, want %d", len(solo), rows)
 	}
-	co.Enter()
-	defer co.Leave()
 
-	const queries = 2
-	batchesPerQuery := (rows + 63) / 64
-	serialInvocations := int64(queries * batchesPerQuery)
+	calls := func() int64 { return db.Metrics().Counter("tensorbase_predict_udf_calls_total") }
+	before := calls()
+	var wg sync.WaitGroup
+	results := make([][]table.Tuple, queries)
+	errs := make([]error, queries)
+	start := make(chan struct{})
+	for i := range queries {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			res, err := db.Exec(q)
+			if err == nil {
+				results[i] = res.Rows
+			}
+			errs[i] = err
+		}()
+	}
+	close(start)
+	wg.Wait()
 
-	// Coalescing needs the two queries to actually overlap; a heavily
-	// loaded machine can schedule them back to back, in which case both
-	// take the (correct) solo direct path. Retry the cold pair until an
-	// overlap happens — with no result cache every attempt re-runs the
-	// model, so the per-attempt counters stay comparable.
-	var calls, coalesced, multi int64
-	for attempt := 0; attempt < 10; attempt++ {
-		before := db.Stats()
-		var wg sync.WaitGroup
-		errs := make([]error, queries)
-		start := make(chan struct{})
-		for q := 0; q < queries; q++ {
-			wg.Add(1)
-			go func(q int) {
-				defer wg.Done()
-				<-start
-				res, err := db.Exec("SELECT id, PREDICT(Fraud-FC-32, features) FROM txns")
-				if err == nil && len(res.Rows) != rows {
-					err = fmt.Errorf("got %d rows", len(res.Rows))
-				}
-				errs[q] = err
-			}(q)
+	for i, got := range results {
+		if errs[i] != nil {
+			t.Fatalf("query %d: %v", i, errs[i])
 		}
-		close(start)
-		wg.Wait()
-		for q, err := range errs {
-			if err != nil {
-				t.Fatalf("query %d: %v", q, err)
+		if len(got) != rows {
+			t.Fatalf("query %d returned %d rows, want %d", i, len(got), rows)
+		}
+		for r := range solo {
+			if got[r][0].Int != solo[r][0].Int {
+				t.Fatalf("query %d row %d: id %d, solo scan has %d", i, r, got[r][0].Int, solo[r][0].Int)
+			}
+			want, have := solo[r][1].Vec, got[r][1].Vec
+			if len(have) != len(want) {
+				t.Fatalf("query %d row %d: prediction width %d vs %d", i, r, len(have), len(want))
+			}
+			for j := range want {
+				if math.Float32bits(have[j]) != math.Float32bits(want[j]) {
+					t.Fatalf("query %d row %d[%d]: %x vs solo %x (must be bit-identical)",
+						i, r, j, math.Float32bits(have[j]), math.Float32bits(want[j]))
+				}
 			}
 		}
-		after := db.Stats()
-		calls = after.PredictUDFCalls - before.PredictUDFCalls
-		coalesced = after.CoalescedRows - before.CoalescedRows
-		multi = after.CoalesceMultiBatches - before.CoalesceMultiBatches
-		if coalesced > 0 && multi > 0 {
-			break
-		}
 	}
-	if coalesced == 0 || multi == 0 {
-		t.Fatal("tensorbase_predict_coalesced_total stayed 0 across attempts: no rows ever rode a shared invocation")
-	}
-	if calls >= serialInvocations {
-		t.Fatalf("concurrent queries made %d model invocations, serial would make %d — coalescing saved nothing",
-			calls, serialInvocations)
-	}
-	t.Logf("invocations: %d (serial would be %d), coalesced rows: %d, shared invocations: %d",
-		calls, serialInvocations, coalesced, multi)
-
-	// The metric surface exposes the same counter.
-	if got := db.Metrics().Counter("tensorbase_predict_coalesced_total"); got == 0 {
-		t.Fatal("tensorbase_predict_coalesced_total missing or zero in metrics snapshot")
+	if got, want := calls()-before, int64(queries*((rows+batch-1)/batch)); got != want {
+		t.Fatalf("tensorbase_predict_udf_calls_total rose by %d over %d concurrent scans, want exactly %d", got, queries, want)
 	}
 }

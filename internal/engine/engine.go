@@ -63,12 +63,6 @@ type Options struct {
 	// quantized twin by default, as if each query said OPTIONS (quantized).
 	// Queries over models without a quantized twin fail.
 	PredictQuantized bool
-	// PredictCoalesceWindow is how long a PREDICT leading a cross-query
-	// batch waits for concurrent PREDICTs over the same model to join its
-	// model invocation (default 500µs). The window only opens when at
-	// least two PREDICTs over the model are in flight, so it adds no
-	// latency to single-query workloads.
-	PredictCoalesceWindow time.Duration
 	// QueryTimeout bounds every statement's execution; a query past the
 	// deadline fails with context.DeadlineExceeded. 0 means no limit.
 	// Contexts passed to ExecContext/QueryContext compose with it (the
@@ -141,11 +135,9 @@ type DB struct {
 	vindexes map[vindexKey]*vectorIndex
 
 	// Per-model inference-result caches (Sec. 5), present when
-	// Options.ResultCache is set, and per-model cross-query invocation
-	// coalescers.
-	cmu        sync.Mutex
-	caches     map[string]*cache.ResultCache
-	coalescers map[string]*udf.Coalescer
+	// Options.ResultCache is set.
+	cmu    sync.Mutex
+	caches map[string]*cache.ResultCache
 
 	// Serving-path counters aggregated across every PREDICT.
 	inferStats udf.InferStats
@@ -242,20 +234,19 @@ func Open(path string, opts Options) (*DB, error) {
 		return nil, err
 	}
 	db := &DB{
-		path:       path,
-		disk:       disk,
-		pool:       storage.NewBufferPool(disk, opts.BufferFrames),
-		cat:        catalog.New(),
-		budget:     memlimit.NewBudget(opts.MemoryBudget),
-		opt:        core.NewOptimizer(opts.MemoryThreshold),
-		udfs:       udf.NewRegistry(),
-		opts:       opts,
-		locks:      lockmgr.New(),
-		caches:     make(map[string]*cache.ResultCache),
-		coalescers: make(map[string]*udf.Coalescer),
-		reg:        obs.NewRegistry(),
-		wal:        wlog,
-		faults:     opts.Faults,
+		path:   path,
+		disk:   disk,
+		pool:   storage.NewBufferPool(disk, opts.BufferFrames),
+		cat:    catalog.New(),
+		budget: memlimit.NewBudget(opts.MemoryBudget),
+		opt:    core.NewOptimizer(opts.MemoryThreshold),
+		udfs:   udf.NewRegistry(),
+		opts:   opts,
+		locks:  lockmgr.New(),
+		caches: make(map[string]*cache.ResultCache),
+		reg:    obs.NewRegistry(),
+		wal:    wlog,
+		faults: opts.Faults,
 
 		blocks:          blockstore.New(),
 		manifests:       make(map[string]*nn.Manifest),
@@ -342,11 +333,6 @@ func (db *DB) registerMetrics() {
 	r.CounterFunc("tensorbase_kernel_q8_calls_total", "int8 GEMM kernel invocations", func() float64 { return float64(tensor.Kernels().Q8Calls) })
 	r.CounterFunc("tensorbase_kernel_vector_calls_total", "dense-layer kernels that ran on the AVX2 tiles or SSE tail dots", func() float64 { return float64(tensor.Kernels().VectorCalls) })
 	r.CounterFunc("tensorbase_panics_total", "panics contained as query errors", func() float64 { return float64(db.panics.Load() + db.inferStats.Panics.Load()) })
-
-	r.CounterFunc("tensorbase_predict_coalesced_total", "PREDICT rows that rode another query's model invocation", func() float64 { return float64(db.coalesceStats().CoalescedRows) })
-	r.CounterFunc("tensorbase_coalesce_invocations_total", "model invocations made through the cross-query coalescer", func() float64 { return float64(db.coalesceStats().Invocations) })
-	r.CounterFunc("tensorbase_coalesce_multi_total", "coalesced invocations shared by two or more queries", func() float64 { return float64(db.coalesceStats().MultiInvocations) })
-	r.CounterFunc("tensorbase_coalesce_participants_total", "sum of participants across coalesced invocations (occupancy numerator)", func() float64 { return float64(db.coalesceStats().Participants) })
 
 	r.CounterFunc("tensorbase_lock_acquisitions_total", "statement lock sets acquired", func() float64 { return float64(db.locks.Stats().Acquired) })
 	r.CounterFunc("tensorbase_lock_waits_total", "lock acquisitions that had to block", func() float64 { return float64(db.locks.Stats().Waits) })
@@ -514,9 +500,9 @@ func (db *DB) EnableOffload(rt *dlruntime.Runtime, minFlopsPerByte float64) {
 // LoadModel also builds the model's int8-resident quantized twin (weights
 // packed int8 + per-channel scales, served by the packed int8 GEMM) and
 // registers it as the "quantized:" UDF behind PREDICT ... OPTIONS
-// (quantized). The twin gets its own result cache and coalescer — quantized
-// predictions differ in bits from f32, so the two modes must never share
-// cached results or model invocations.
+// (quantized). The twin gets its own result cache — quantized predictions
+// differ in bits from f32, so the two modes must never share cached
+// results.
 //
 // The load is durable and deduplicated: the model's tensors are split
 // into content-addressed 64 KiB blocks, blocks already resident (shared
@@ -660,7 +646,7 @@ func (db *DB) registerModel(m *nn.Model, accuracy float64, mf *nn.Manifest) erro
 }
 
 // unregisterModel removes a model's in-memory state — catalog entry, UDFs,
-// caches, coalescers — and releases its manifest's block references. The
+// caches — and releases its manifest's block references. The
 // caller sweeps the store once its atomic unit (drop statement, replicated
 // group, replay) is complete.
 func (db *DB) unregisterModel(name string) {
@@ -670,8 +656,6 @@ func (db *DB) unregisterModel(name string) {
 	db.cmu.Lock()
 	delete(db.caches, name)
 	delete(db.caches, quantizedKey(name))
-	delete(db.coalescers, name)
-	delete(db.coalescers, quantizedKey(name))
 	db.cmu.Unlock()
 	db.manMu.Lock()
 	mf := db.manifests[name]
@@ -693,12 +677,12 @@ func (db *DB) manifestFor(name string) (*nn.Manifest, bool) {
 // BlockStats exposes the weight-block store's counters (tests, tools).
 func (db *DB) BlockStats() blockstore.Stats { return db.blocks.Stats() }
 
-// quantizedKey is the cache/coalescer key for a model's quantized serving
+// quantizedKey is the result-cache key for a model's quantized serving
 // mode; the NUL cannot appear in a model name, so keys never collide.
 func quantizedKey(model string) string { return model + "\x00q8" }
 
 // addServingState installs the per-(model, mode) serving infrastructure: a
-// result cache when enabled, and a cross-query coalescer.
+// result cache when enabled.
 func (db *DB) addServingState(key string, m *nn.Model) error {
 	if db.opts.ResultCache {
 		dim := 1
@@ -714,35 +698,7 @@ func (db *DB) addServingState(key string, m *nn.Model) error {
 		db.caches[key] = rc
 		db.cmu.Unlock()
 	}
-	db.cmu.Lock()
-	db.coalescers[key] = udf.NewCoalescer(db.opts.PredictCoalesceWindow, 0)
-	db.cmu.Unlock()
 	return nil
-}
-
-// coalescerFor returns the named model's cross-query invocation coalescer,
-// if the model is loaded.
-func (db *DB) coalescerFor(model string) (*udf.Coalescer, bool) {
-	db.cmu.Lock()
-	defer db.cmu.Unlock()
-	co, ok := db.coalescers[model]
-	return co, ok
-}
-
-// coalesceStats sums coalescing counters across every loaded model.
-func (db *DB) coalesceStats() udf.CoalesceStats {
-	var sum udf.CoalesceStats
-	db.cmu.Lock()
-	for _, co := range db.coalescers {
-		st := co.Stats()
-		sum.Invocations += st.Invocations
-		sum.MultiInvocations += st.MultiInvocations
-		sum.Rows += st.Rows
-		sum.CoalescedRows += st.CoalescedRows
-		sum.Participants += st.Participants
-	}
-	db.cmu.Unlock()
-	return sum
 }
 
 // ResultCacheFor returns the named model's inference-result cache, if
@@ -824,11 +780,6 @@ type Stats struct {
 	PipelineFills   int64 // producer finished a batch before it was asked
 	PipelineStalls  int64 // consumer waited on the producer
 	Panics          int64 // panics contained as query errors (query + UDF level)
-
-	// Cross-query coalescing (summed over all models).
-	CoalescedRows        int64 // rows that rode another query's invocation
-	CoalesceInvocations  int64 // model invocations made through the coalescer
-	CoalesceMultiBatches int64 // invocations shared by ≥2 queries
 }
 
 // Stats returns a snapshot of buffer pool, disk, memory, and serving-path
@@ -836,7 +787,6 @@ type Stats struct {
 func (db *DB) Stats() Stats {
 	ps := db.pool.Stats()
 	r, w := db.disk.IOStats()
-	cs := db.coalesceStats()
 	return Stats{
 		PoolHits:      ps.Hits,
 		PoolMisses:    ps.Misses,
@@ -856,10 +806,6 @@ func (db *DB) Stats() Stats {
 		PipelineFills:   db.inferStats.PipelineFills.Load(),
 		PipelineStalls:  db.inferStats.PipelineStalls.Load(),
 		Panics:          db.panics.Load() + db.inferStats.Panics.Load(),
-
-		CoalescedRows:        cs.CoalescedRows,
-		CoalesceInvocations:  cs.Invocations,
-		CoalesceMultiBatches: cs.MultiInvocations,
 	}
 }
 

@@ -54,7 +54,7 @@ func argmax32(v []float32) int {
 
 // TestPredictQuantizedBitIdenticalAcrossModes: per-row activation scales
 // make quantized outputs a function of each row alone, so serial, pipelined,
-// and cached/coalesced executions must produce bit-identical predictions.
+// and cached executions must produce bit-identical predictions.
 func TestPredictQuantizedBitIdenticalAcrossModes(t *testing.T) {
 	const q = "SELECT id, PREDICT(Fraud-FC-32, features) OPTIONS (quantized) FROM txns"
 	run := func(opts Options, wantMode string) [][]float32 {
@@ -72,10 +72,10 @@ func TestPredictQuantizedBitIdenticalAcrossModes(t *testing.T) {
 		return out
 	}
 	pipelined := run(Options{}, "pipelined")
-	coalesced := run(Options{ResultCache: true}, "pipelined")
+	cached := run(Options{ResultCache: true}, "pipelined")
 	drainComputeBudget(t)
 	serial := run(Options{}, "serial")
-	for name, got := range map[string][][]float32{"pipelined": pipelined, "cached+coalesced": coalesced} {
+	for name, got := range map[string][][]float32{"pipelined": pipelined, "cached": cached} {
 		if len(got) != len(serial) {
 			t.Fatalf("%s: %d rows vs %d", name, len(got), len(serial))
 		}

@@ -345,7 +345,7 @@ func aggregateSpecs(st *sql.Select) (groupBy []string, specs []exec.AggSpec, err
 func (db *DB) predictOp(in exec.Operator, p *sql.PredictExpr, tok *lifecycle.Token) (exec.Operator, error) {
 	// Quantized serving: per-query OPTIONS (quantized) or the engine-wide
 	// default routes to the model's int8-resident twin, with its own
-	// cache/coalescer key — the two modes never share results.
+	// cache key — the two modes never share results.
 	quantized := p.Quantized || db.opts.PredictQuantized
 	udfName, cacheKey := "adaptive:"+p.Model, p.Model
 	if quantized {
@@ -368,11 +368,6 @@ func (db *DB) predictOp(in exec.Operator, p *sql.PredictExpr, tok *lifecycle.Tok
 	iopts := []udf.InferOption{udf.WithStats(&db.inferStats), udf.WithCancel(tok), udf.WithPipeline(nil)}
 	if rc, ok := db.ResultCacheFor(cacheKey); ok {
 		iopts = append(iopts, udf.WithCache(rc))
-	}
-	if co, ok := db.coalescerFor(cacheKey); ok {
-		// Concurrent PREDICTs over the same model merge their
-		// cache-miss rows into shared model invocations.
-		iopts = append(iopts, udf.WithCoalescer(co))
 	}
 	infer, err := udf.NewInferOp(in, u, p.FeatureCol, db.opts.InferBatch, iopts...)
 	if err != nil {

@@ -79,7 +79,7 @@ func newQGemm(w8 []int8, scales []float32, n, k int) qGemm {
 // apply runs the (m,k) f32 batch x through the layer's GEMM, with bias
 // (nil for none) and ReLU folded in. Per-ROW activation scales make each
 // output row a function of that row alone, so batch composition
-// (coalescing, pipelining, caching) cannot change any row's bits.
+// (miss compaction, pipelining, caching) cannot change any row's bits.
 func (g *qGemm) apply(x, bias *tensor.Tensor, relu bool) *tensor.Tensor {
 	if g.wf != nil {
 		// Narrow layer: f32 kernel over the dequantized weight copy. Row i

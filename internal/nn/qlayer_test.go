@@ -42,7 +42,7 @@ func TestQuantizeResidentCloseToF32(t *testing.T) {
 
 // TestQuantResidentBatchIndependence is the property the serving layer
 // leans on: per-row activation scales make every output row a function of
-// that row alone, so splitting or coalescing a batch cannot change bits.
+// that row alone, so splitting or compacting a batch cannot change bits.
 func TestQuantResidentBatchIndependence(t *testing.T) {
 	m, x, _ := trainedClusterModel(t, 42)
 	q, err := QuantizeResident(m)

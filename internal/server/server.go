@@ -448,8 +448,18 @@ func jsonValue(v table.Value) any {
 	}
 }
 
+// writeJSON sends resp with status. The body is marshalled before the
+// header goes out, so a result JSON cannot carry (a SUM that overflowed to
+// +Inf) becomes a 400 with an error body, never a 200 with an empty one.
 func writeJSON(w http.ResponseWriter, status int, resp queryResponse) {
+	body, err := json.Marshal(resp)
+	if err != nil {
+		status = http.StatusBadRequest
+		// A response of strings and integers always marshals.
+		body, _ = json.Marshal(queryResponse{Session: resp.Session, Seq: resp.Seq, Node: resp.Node,
+			Error: "server: result cannot be encoded as JSON: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(resp)
+	w.Write(append(body, '\n'))
 }

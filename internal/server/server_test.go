@@ -148,6 +148,25 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestUnencodableResultIs400: a SUM that overflows to +Inf has no JSON
+// form; the client gets a 400 with an error body, and the session lives on.
+func TestUnencodableResultIs400(t *testing.T) {
+	ts, _, _ := newTestServer(t, Options{})
+	qr, _ := post(t, ts.URL, "", "CREATE TABLE big (x DOUBLE)")
+	sid := qr.Session
+	if qr, code := post(t, ts.URL, sid, "INSERT INTO big VALUES (1e308), (1e308)"); code != http.StatusOK {
+		t.Fatalf("insert = %d %+v", code, qr)
+	}
+	qr, code := post(t, ts.URL, sid, "SELECT SUM(x) FROM big")
+	if code != http.StatusBadRequest || qr.Error == "" || qr.Session != sid {
+		t.Fatalf("overflowing SUM = %d %+v, want 400 with an error body", code, qr)
+	}
+	qr, code = post(t, ts.URL, sid, "SELECT x FROM big")
+	if code != http.StatusOK || len(qr.Rows) != 2 || qr.Rows[0][0] != 1e308 {
+		t.Fatalf("finite rows after the refusal = %d %+v", code, qr)
+	}
+}
+
 // TestConcurrentSessions drives many sessions at once; every statement must
 // succeed, with the engine's lock manager serializing the conflicts.
 func TestConcurrentSessions(t *testing.T) {

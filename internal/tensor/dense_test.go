@@ -157,8 +157,8 @@ func TestDenseWorkersBitIdentical(t *testing.T) {
 }
 
 // Row i of a batched product must equal row i computed alone (m = 1, the
-// Go loop): the invariant the result cache, the coalescer and the pipeline
-// rely on.
+// Go loop): the invariant the result cache's miss compaction and the
+// pipeline rely on.
 func TestDenseRowIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for i, c := range []denseCase{{256, 28, 1024}, {256, 1024, 2}, {37, 70, 37}} {

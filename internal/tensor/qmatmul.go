@@ -11,7 +11,7 @@ import (
 //
 // Per-ROW scales matter beyond accuracy: the serving path quantizes
 // activations with this function, and a per-row scale makes every row's
-// int8 image independent of which batch it rides in — so cached, coalesced
+// int8 image independent of which batch it rides in — so cached, serial
 // and pipelined executions of the same tuple are bit-identical.
 func QuantizeRowsQ8(dst []int8, scales []float32, src []float32, m, k int) {
 	if len(src) < m*k || len(dst) < m*k || len(scales) < m {

@@ -116,13 +116,6 @@ func WithCancel(tok *lifecycle.Token) InferOption {
 	return func(o *InferOp) { o.tok = tok }
 }
 
-// WithCoalescer routes this operator's model invocations through the
-// model's cross-query coalescer: concurrent PREDICTs over the same model
-// merge their cache-miss rows into shared invocations (see Coalescer).
-func WithCoalescer(co *Coalescer) InferOption {
-	return func(o *InferOp) { o.co = co }
-}
-
 // InferOp is a relational operator that runs a UDF over the FloatVec
 // feature column of its input in micro-batches, emitting each input tuple
 // extended with a prediction column. It is how `PREDICT(model, features)`
@@ -135,15 +128,13 @@ type InferOp struct {
 	batch   int
 	schema  *table.Schema
 
-	cache     *cache.ResultCache
-	pipeline  bool
-	budget    *parallel.Budget
-	colSrc    exec.ColBatcher // non-nil when the child can batch columnarly
-	tok       *lifecycle.Token
-	co        *Coalescer  // cross-query invocation coalescer (per model)
-	coEntered bool        // this Open registered with the coalescer
-	stats     InferStats  // per-operator counters (StageNote, tests)
-	sink      *InferStats // optional shared sink, added on Close
+	cache    *cache.ResultCache
+	pipeline bool
+	budget   *parallel.Budget
+	colSrc   exec.ColBatcher // non-nil when the child can batch columnarly
+	tok      *lifecycle.Token
+	stats    InferStats  // per-operator counters (StageNote, tests)
+	sink     *InferStats // optional shared sink, added on Close
 
 	// Producer state (pipelined mode); nil channel means serial.
 	batches chan *inferBatch
@@ -232,10 +223,6 @@ func (o *InferOp) Open() error {
 	o.colSrc = nil
 	if cs, ok := o.in.(exec.ColBatcher); ok {
 		o.colSrc = cs
-	}
-	if o.co != nil && !o.coEntered {
-		o.co.Enter()
-		o.coEntered = true
 	}
 	if o.pipeline {
 		budget := o.budget
@@ -416,14 +403,9 @@ func (o *InferOp) applyUDF(feats []float32, rows, width int) (out *tensor.Tensor
 	return out, nil
 }
 
-// invoke runs the model over rows×width features, through the cross-query
-// coalescer when one is attached (so concurrent PREDICTs share invocations)
-// and directly otherwise. It returns the caller's rows' predictions and the
-// prediction width; the returned slice may alias a shared read-only buffer.
+// invoke runs the model over rows×width features and returns the rows'
+// predictions as one fresh backing array, plus the prediction width.
 func (o *InferOp) invoke(feats []float32, rows, width int) ([]float32, int, error) {
-	if o.co != nil {
-		return o.co.Submit(o.tok, feats, rows, width, o.applyUDF)
-	}
 	out, err := o.applyUDF(feats, rows, width)
 	if err != nil {
 		return nil, 0, err
@@ -442,9 +424,8 @@ func (o *InferOp) process(b *inferBatch) error {
 	}
 	o.stats.Batches.Add(1)
 	if o.cache == nil {
-		// The returned slice is either the UDF's fresh output tensor or this
-		// batch's view of a coalesced invocation; emitted rows carve disjoint
-		// subslices out of it either way.
+		// Emitted rows carve disjoint subslices out of the UDF's fresh
+		// output.
 		preds, predW, err := o.invoke(b.feats, rows, b.width)
 		if err != nil {
 			return err
@@ -541,11 +522,10 @@ func (o *InferOp) processCached(b *inferBatch) error {
 		for _, row := range retryRows {
 			feats = append(feats, b.feats[row*w:(row+1)*w]...)
 		}
-		out, err := o.applyUDF(feats, len(retryRows), w)
+		data, predW, err := o.invoke(feats, len(retryRows), w)
 		if err != nil {
 			return err
 		}
-		data, predW := out.Data(), out.Len()/len(retryRows)
 		for j, row := range retryRows {
 			p := data[j*predW : (j+1)*predW : (j+1)*predW]
 			results[row] = p
@@ -658,10 +638,6 @@ func (o *InferOp) Close() error {
 	if o.tokens > 0 {
 		o.budget.Release(o.tokens)
 		o.tokens = 0
-	}
-	if o.coEntered {
-		o.co.Leave()
-		o.coEntered = false
 	}
 	o.stats.AddTo(o.sink)
 	o.cur = nil

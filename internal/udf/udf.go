@@ -96,7 +96,7 @@ func (u *ModelUDF) Apply(in *tensor.Tensor) (out *tensor.Tensor, err error) {
 // nn.QuantizeResident) into a single UDF: weights stay packed int8, each
 // batch's activations quantize per row on entry, and the forward pass runs
 // the packed int8 GEMM. Per-row activation scales keep its outputs
-// batch-composition independent, so caching and coalescing work unchanged.
+// batch-composition independent, so caching and miss compaction work unchanged.
 type QuantizedUDF struct {
 	model  *nn.Model // the resident quantized twin
 	owner  string    // the source model's name (registry key suffix)
