@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"tensorbase/internal/blocked"
 	"tensorbase/internal/dlruntime"
@@ -53,6 +54,10 @@ type Executor struct {
 	weights map[*nn.Linear]*blocked.Matrix
 	// offloaders caches DL-centric executors per target runtime.
 	offloaders map[*dlruntime.Runtime]*offloadExecutor
+	// fused holds one whole-model UDF per model a fully UDF-centric plan
+	// runs, so its forward-pass workspaces outlive the call.
+	fusedMu sync.Mutex
+	fused   map[*nn.Model]*udf.ModelUDF
 }
 
 // NewExecutor returns an executor over pool with the given whole-tensor
@@ -65,7 +70,20 @@ func NewExecutor(pool *storage.BufferPool, budget *memlimit.Budget) *Executor {
 		Pool: pool, Budget: budget, BlockSize: blocked.DefaultBlockSize,
 		weights:    make(map[*nn.Linear]*blocked.Matrix),
 		offloaders: make(map[*dlruntime.Runtime]*offloadExecutor),
+		fused:      make(map[*nn.Model]*udf.ModelUDF),
 	}
+}
+
+// fusedUDF returns the executor's whole-model UDF for m, built on first use.
+func (e *Executor) fusedUDF(m *nn.Model) *udf.ModelUDF {
+	e.fusedMu.Lock()
+	defer e.fusedMu.Unlock()
+	u, ok := e.fused[m]
+	if !ok {
+		u = udf.NewModelUDF(m, e.Budget)
+		e.fused[m] = u
+	}
+	return u
 }
 
 // Prepare chunks the weight tensors of every relation-centric Linear
@@ -113,7 +131,7 @@ func (e *Executor) Run(plan *InferencePlan, x *tensor.Tensor) (*Result, error) {
 // token behaves exactly like Run.
 func (e *Executor) RunCancel(plan *InferencePlan, x *tensor.Tensor, tok *lifecycle.Token) (*Result, error) {
 	if plan.AllUDF() {
-		out, err := udf.NewModelUDF(plan.Model, e.Budget).Apply(x)
+		out, err := e.fusedUDF(plan.Model).Apply(x)
 		if err != nil {
 			return nil, err
 		}

@@ -327,6 +327,7 @@ func (db *DB) registerMetrics() {
 	r.CounterFunc("tensorbase_predict_batches_allhit_total", "batches that skipped the model entirely", func() float64 { return float64(db.inferStats.BatchesAllHit.Load()) })
 	r.CounterFunc("tensorbase_pipeline_fills_total", "producer finished a batch before it was asked", func() float64 { return float64(db.inferStats.PipelineFills.Load()) })
 	r.CounterFunc("tensorbase_pipeline_stalls_total", "consumer waits on the batch producer", func() float64 { return float64(db.inferStats.PipelineStalls.Load()) })
+	r.CounterFunc("tensorbase_predict_workspaces_total", "forward-pass workspaces built by model UDFs (process-wide)", func() float64 { return float64(udf.WorkspacesBuilt()) })
 	r.CounterFunc("tensorbase_predict_colbatches_total", "PREDICT micro-batches decoded columnarly (no per-row copy)", func() float64 { return float64(db.inferStats.ColBatches.Load()) })
 	r.CounterFunc("tensorbase_kernel_serial_runs_total", "matmul kernels run on the caller's goroutine alone", func() float64 { return float64(tensor.Kernels().SerialRuns) })
 	r.CounterFunc("tensorbase_kernel_fanouts_total", "matmul kernels that drew extra workers from the compute budget", func() float64 { return float64(tensor.Kernels().FanOuts) })

@@ -106,8 +106,10 @@ func (l *Linear) ParamBytes() int64 {
 // Forward implements Layer.
 func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor { return tensor.Dense(x, l.W, l.B, false) }
 
-// forwardReLU implements reluFuser.
-func (l *Linear) forwardReLU(x *tensor.Tensor) *tensor.Tensor { return tensor.Dense(x, l.W, l.B, true) }
+// denseInto implements denseLayer.
+func (l *Linear) denseInto(out, x *tensor.Tensor, relu bool) {
+	tensor.DenseInto(out, x, l.W, l.B, relu)
+}
 
 // Conv2D is a stride-1, no-padding convolution with an OHWI kernel,
 // matching Table 2's configuration.

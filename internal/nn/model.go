@@ -59,30 +59,60 @@ func (m *Model) OutShape(batch int) ([]int, error) {
 }
 
 // Forward runs the full model over a batch.
-func (m *Model) Forward(x *tensor.Tensor) *tensor.Tensor { return m.ForwardFrom(x, 0) }
-
-// reluFuser is a layer that can apply a following ReLU in its own output
-// pass, with the bits of running the two layers one after the other.
-type reluFuser interface {
-	forwardReLU(x *tensor.Tensor) *tensor.Tensor
-}
+func (m *Model) Forward(x *tensor.Tensor) *tensor.Tensor { return m.ForwardFrom(x, 0, nil) }
 
 // ForwardFrom runs layers [from, len) over x. It is used by the fine-grained
 // UDF execution paths, where earlier operators have already been evaluated
 // (possibly relation-centrically). A Linear or QuantLinear followed by
 // ReLU runs as one pass; code that runs one layer at a time gets the same
-// bits.
-func (m *Model) ForwardFrom(x *tensor.Tensor, from int) *tensor.Tensor {
+// bits. No layer of this package writes x: an activation that would
+// overwrite it works on a copy.
+//
+// With a workspace ws (nil for none), every intermediate output of a
+// Linear or QuantLinear is written into ws instead of a fresh tensor, so a
+// warm pass allocates only what it returns; the returned tensor is always
+// freshly allocated and never aliases ws. The bits are the same either
+// way. A model holding a layer this package does not define ignores ws.
+func (m *Model) ForwardFrom(x *tensor.Tensor, from int, ws *Workspace) *tensor.Tensor {
 	layers := m.Layers[from:]
-	for i := 0; i < len(layers); i++ {
-		if f, ok := layers[i].(reluFuser); ok && i+1 < len(layers) {
-			if _, relu := layers[i+1].(ReLU); relu {
-				x = f.forwardReLU(x)
-				i++
-				continue
-			}
+	if ws != nil {
+		need := workspaceFloats(layers, x.Dim(0))
+		if need < 0 {
+			ws = nil
+		} else {
+			ws.grow(need)
 		}
-		x = layers[i].Forward(x)
+	}
+	last := lastOwned(layers)
+	next := 0        // the end of ws the next dense output goes to; x, if in ws, is at the other
+	borrowed := true // x is the caller's tensor, or a view of it
+	for i := 0; i < len(layers); i++ {
+		switch l := layers[i]; roleOf(l) {
+		case roleDense:
+			d := l.(denseLayer)
+			relu := fusesReLU(layers, i)
+			var out *tensor.Tensor
+			if ws != nil && i < last {
+				out = ws.at(next, x.Dim(0), d.Out())
+				next = 1 - next
+			} else {
+				out = tensor.New(x.Dim(0), d.Out())
+			}
+			d.denseInto(out, x, relu)
+			x, borrowed = out, false
+			if relu {
+				i++
+			}
+		case roleInPlace:
+			if borrowed {
+				x, borrowed = x.Clone(), false
+			}
+			x = l.Forward(x)
+		case roleFresh:
+			x, borrowed = l.Forward(x), false
+		default: // Flatten's view of x, or a layer defined elsewhere, which may return x itself
+			x = l.Forward(x)
+		}
 	}
 	return x
 }

@@ -144,7 +144,7 @@ func TestForwardFromMatchesFullForward(t *testing.T) {
 	full := m.Forward(x.Clone())
 	// Run layer 0 manually, then ForwardFrom(1).
 	h := m.Layers[0].Forward(x.Clone())
-	split := m.ForwardFrom(h, 1)
+	split := m.ForwardFrom(h, 1, nil)
 	if !full.AlmostEqual(split, 1e-5) {
 		t.Fatal("ForwardFrom disagrees with Forward")
 	}

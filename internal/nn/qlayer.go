@@ -77,17 +77,25 @@ func newQGemm(w8 []int8, scales []float32, n, k int) qGemm {
 }
 
 // apply runs the (m,k) f32 batch x through the layer's GEMM, with bias
-// (nil for none) and ReLU folded in. Per-ROW activation scales make each
-// output row a function of that row alone, so batch composition
-// (miss compaction, pipelining, caching) cannot change any row's bits.
+// (nil for none) and ReLU folded in, into a fresh (m,n) tensor.
 func (g *qGemm) apply(x, bias *tensor.Tensor, relu bool) *tensor.Tensor {
+	out := tensor.New(x.Dim(0), g.n)
+	g.applyInto(out, x, bias, relu)
+	return out
+}
+
+// applyInto is apply writing into out. Per-ROW activation scales make each
+// output row a function of that row alone, so batch composition (miss
+// compaction, pipelining, caching) cannot change any row's bits.
+func (g *qGemm) applyInto(out, x, bias *tensor.Tensor, relu bool) {
 	if g.wf != nil {
 		// Narrow layer: f32 kernel over the dequantized weight copy. Row i
 		// of the product reads only row i of x, so batch-composition
 		// bit-identity holds exactly as it does for the int8 path.
-		return tensor.Dense(x, g.wf, bias, relu)
+		tensor.DenseInto(out, x, g.wf, bias, relu)
+		return
 	}
-	return tensor.DenseQ8(x, g.pairs, bias, relu)
+	tensor.DenseQ8Into(out, x, g.pairs, bias, relu)
 }
 
 // paramBytes is the resident footprint of the weights — int16 pairs for
@@ -160,8 +168,10 @@ func (l *QuantLinear) ParamBytes() int64 {
 // Forward implements Layer.
 func (l *QuantLinear) Forward(x *tensor.Tensor) *tensor.Tensor { return l.gemm.apply(x, l.B, false) }
 
-// forwardReLU implements reluFuser.
-func (l *QuantLinear) forwardReLU(x *tensor.Tensor) *tensor.Tensor { return l.gemm.apply(x, l.B, true) }
+// denseInto implements denseLayer.
+func (l *QuantLinear) denseInto(out, x *tensor.Tensor, relu bool) {
+	l.gemm.applyInto(out, x, l.B, relu)
+}
 
 // QuantConv2D is a stride-1, no-padding convolution whose OHWI kernel stays
 // resident as int8 with per-output-channel scales. It always executes via

@@ -54,7 +54,6 @@ import (
 	"tensorbase/internal/obs"
 	"tensorbase/internal/parallel"
 	"tensorbase/internal/shard"
-	"tensorbase/internal/table"
 )
 
 // Options configures the SQL server.
@@ -265,24 +264,13 @@ type queryRequest struct {
 	SQL     string `json:"sql"`
 }
 
-// queryResponse is the /query reply.
-type queryResponse struct {
-	Session      string   `json:"session"`
-	Seq          int64    `json:"seq,omitempty"`
-	Node         string   `json:"node,omitempty"` // which node served a routed read
-	Columns      []string `json:"columns,omitempty"`
-	Rows         [][]any  `json:"rows,omitempty"`
-	RowsAffected int64    `json:"rows_affected,omitempty"`
-	Error        string   `json:"error,omitempty"`
-}
-
 // reject refuses a statement with 503 and a Retry-After so well-behaved
 // clients back off instead of hammering; reason lands in the labeled
 // tensorbase_http_rejected_total series.
 func (s *Server) reject(w http.ResponseWriter, session string, c *obs.Counter, msg string) {
 	c.Inc()
 	w.Header().Set("Retry-After", "1")
-	writeJSON(w, http.StatusServiceUnavailable, queryResponse{Session: session, Error: msg})
+	writeResponse(w, http.StatusServiceUnavailable, &response{Session: session, Error: msg})
 }
 
 // ServeHTTP handles POST /query.
@@ -293,11 +281,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	var req queryRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, queryResponse{Error: "bad request: " + err.Error()})
+		writeResponse(w, http.StatusBadRequest, &response{Error: "bad request: " + err.Error()})
 		return
 	}
 	if req.SQL == "" {
-		writeJSON(w, http.StatusBadRequest, queryResponse{Error: "empty sql"})
+		writeResponse(w, http.StatusBadRequest, &response{Error: "empty sql"})
 		return
 	}
 	if s.draining.Load() {
@@ -311,7 +299,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			s.reject(w, req.Session, s.rejSessions, err.Error())
 			return
 		}
-		writeJSON(w, status, queryResponse{Session: req.Session, Error: err.Error()})
+		writeResponse(w, status, &response{Session: req.Session, Error: err.Error()})
 		return
 	}
 
@@ -374,24 +362,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			s.reject(w, sess.id, s.rejShard, qerr.Error())
 			return
 		}
-		writeJSON(w, http.StatusBadRequest, queryResponse{Session: sess.id, Seq: seq, Node: node, Error: qerr.Error()})
+		writeResponse(w, http.StatusBadRequest, &response{Session: sess.id, Seq: seq, Node: node, Error: qerr.Error()})
 		return
 	}
-	resp := queryResponse{Session: sess.id, Seq: seq, Node: node, RowsAffected: res.RowsAffected}
-	if res.Schema != nil {
-		for _, c := range res.Schema.Cols {
-			resp.Columns = append(resp.Columns, c.Name)
-		}
-		resp.Rows = make([][]any, len(res.Rows))
-		for i, row := range res.Rows {
-			out := make([]any, len(row))
-			for j, v := range row {
-				out[j] = jsonValue(v)
-			}
-			resp.Rows[i] = out
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeResponse(w, http.StatusOK, &response{Session: sess.id, Seq: seq, Node: node,
+		Schema: res.Schema, Rows: res.Rows, RowsAffected: res.RowsAffected})
 }
 
 // session resolves (or mints) the request's session.
@@ -430,36 +405,4 @@ func mintID() string {
 		panic(fmt.Sprintf("server: session id entropy: %v", err))
 	}
 	return hex.EncodeToString(b[:])
-}
-
-// jsonValue converts an engine value to its JSON representation.
-func jsonValue(v table.Value) any {
-	switch v.Type {
-	case table.Int64:
-		return v.Int
-	case table.Float64:
-		return v.Float
-	case table.Text:
-		return v.Str
-	case table.FloatVec:
-		return v.Vec
-	default:
-		return v.String()
-	}
-}
-
-// writeJSON sends resp with status. The body is marshalled before the
-// header goes out, so a result JSON cannot carry (a SUM that overflowed to
-// +Inf) becomes a 400 with an error body, never a 200 with an empty one.
-func writeJSON(w http.ResponseWriter, status int, resp queryResponse) {
-	body, err := json.Marshal(resp)
-	if err != nil {
-		status = http.StatusBadRequest
-		// A response of strings and integers always marshals.
-		body, _ = json.Marshal(queryResponse{Session: resp.Session, Seq: resp.Seq, Node: resp.Node,
-			Error: "server: result cannot be encoded as JSON: " + err.Error()})
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(append(body, '\n'))
 }

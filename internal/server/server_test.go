@@ -32,6 +32,17 @@ func newTestServer(t *testing.T, sopts Options) (*httptest.Server, *Server, *eng
 	return ts, srv, db
 }
 
+// queryResponse is the /query reply as a client decodes it.
+type queryResponse struct {
+	Session      string   `json:"session"`
+	Seq          int64    `json:"seq,omitempty"`
+	Node         string   `json:"node,omitempty"`
+	Columns      []string `json:"columns,omitempty"`
+	Rows         [][]any  `json:"rows,omitempty"`
+	RowsAffected int64    `json:"rows_affected,omitempty"`
+	Error        string   `json:"error,omitempty"`
+}
+
 // post sends one statement and decodes the reply.
 func post(t *testing.T, url, session, sql string) (queryResponse, int) {
 	t.Helper()

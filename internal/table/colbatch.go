@@ -22,7 +22,10 @@ import (
 // designated FloatVec feature column landing in one contiguous buffer.
 // Tuples[i]'s feature value aliases Feats[i*Width:(i+1)*Width]; both are
 // valid as long as the batch itself, so a batch must not be reused while
-// downstream holds its tuples — allocate one per batch.
+// downstream holds its tuples — allocate one per batch. The tuples are
+// carved from one array per batch, each with room for one more value past
+// its end: the batch's owner may extend a row in place with
+// append(Tuples[i], v), as PREDICT does with its prediction column.
 type ColBatch struct {
 	schema  *Schema
 	featIdx int
@@ -35,6 +38,8 @@ type ColBatch struct {
 	Feats []float32
 	// Tuples holds the decoded rows in append order.
 	Tuples []Tuple
+
+	vals []Value // the tuples' backing array: rows × (columns + 1)
 }
 
 // NewColBatch returns an empty batch of at most rows tuples of schema s,
@@ -67,7 +72,13 @@ func (cb *ColBatch) AppendRecord(rec []byte) error {
 	if _, err := measureVecs(cb.schema, rec); err != nil {
 		return err
 	}
-	t := make(Tuple, cb.schema.Len())
+	n := cb.schema.Len()
+	if cb.vals == nil {
+		cb.vals = make([]Value, 0, cb.rows*(n+1))
+	}
+	used := len(cb.vals)
+	cb.vals = cb.vals[:used+n+1]
+	t := Tuple(cb.vals[used : used+n : used+n+1])
 	off := 0
 	for i, c := range cb.schema.Cols {
 		switch c.Type {

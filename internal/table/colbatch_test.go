@@ -80,6 +80,34 @@ func TestColBatchMatchesRowScan(t *testing.T) {
 	}
 }
 
+// Every tuple of a batch has room for exactly one more value, and
+// extending one row in place leaves its neighbours as they were.
+func TestColBatchTuplesHaveRoomForOneValue(t *testing.T) {
+	const n, w = 20, 3
+	h, s := colTestHeap(t, n, w)
+	cb, err := NewColBatch(s, s.ColIndex("features"), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := h.Scan().NextColumnar(cb); err != nil || got != n {
+		t.Fatalf("NextColumnar = %d, %v", got, err)
+	}
+	for i, tup := range cb.Tuples {
+		if len(tup) != s.Len() || cap(tup) != s.Len()+1 {
+			t.Fatalf("row %d: len %d cap %d, want %d and %d", i, len(tup), cap(tup), s.Len(), s.Len()+1)
+		}
+	}
+	for i := range cb.Tuples {
+		ext := append(cb.Tuples[i], IntVal(-1))
+		if &ext[0] != &cb.Tuples[i][0] {
+			t.Fatalf("row %d: the extra value did not fit in place", i)
+		}
+		if i+1 < n && cb.Tuples[i+1][0].Int != int64(i+1) {
+			t.Fatalf("extending row %d changed row %d to %v", i, i+1, cb.Tuples[i+1])
+		}
+	}
+}
+
 // TestColBatchResumesMidPage fills tiny batches so page boundaries and batch
 // boundaries interleave every way.
 func TestColBatchResumesMidPage(t *testing.T) {

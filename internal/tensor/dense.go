@@ -47,10 +47,25 @@ func Dense(x, w, bias *Tensor, relu bool) *Tensor {
 	if x.Rank() != 2 || w.Rank() != 2 {
 		panic("tensor: Dense requires 2-D tensors")
 	}
+	out := New(x.shape[0], w.shape[0])
+	DenseInto(out, x, w, bias, relu)
+	return out
+}
+
+// DenseInto is Dense writing into out, an (m,n) tensor that must not
+// overlap x. Every element of out is assigned, none read, so out may hold
+// anything on entry: a reused buffer needs no clearing.
+func DenseInto(out, x, w, bias *Tensor, relu bool) {
+	if x.Rank() != 2 || w.Rank() != 2 {
+		panic("tensor: Dense requires 2-D tensors")
+	}
 	m, k := x.shape[0], x.shape[1]
 	n, k2 := w.shape[0], w.shape[1]
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: Dense shape mismatch (%d,%d)×(%d,%d)ᵀ", m, k, n, k2))
+	}
+	if out.Rank() != 2 || out.shape[0] != m || out.shape[1] != n {
+		panic(fmt.Sprintf("tensor: Dense output shape %v, want (%d,%d)", out.shape, m, n))
 	}
 	var b []float32
 	if bias != nil {
@@ -59,20 +74,17 @@ func Dense(x, w, bias *Tensor, relu bool) *Tensor {
 		}
 		b = bias.data
 	}
-	out := New(m, n)
 	vec := vectorTransB(m, k, n)
 	if vec {
 		kernelVectorCalls.Add(1)
 	}
-	rows := func(r0, r1 int) { denseRows(out.data, x.data, w.data, b, relu, vec, r0, r1, k, n) }
 	workers, release := fanOut(m, m*k*n)
 	if workers == 1 {
-		rows(0, m)
-		return out
+		denseRows(out.data, x.data, w.data, b, relu, vec, 0, m, k, n)
+		return
 	}
 	defer release()
-	bandLoop(m, workers, rows)
-	return out
+	bandLoop(m, workers, func(r0, r1 int) { denseRows(out.data, x.data, w.data, b, relu, vec, r0, r1, k, n) })
 }
 
 // denseRows computes rows [r0,r1) of Dense.
@@ -223,8 +235,23 @@ var q8ScratchPool = sync.Pool{New: func() any { return new(q8Scratch) }}
 // ReLUInto). Per-row scales make every output row a function of its input
 // row alone, so batch composition cannot change any row's bits.
 func DenseQ8(x *Tensor, w *Q8Pairs, bias *Tensor, relu bool) *Tensor {
+	if x.Rank() != 2 {
+		panic(fmt.Sprintf("tensor: DenseQ8 input shape %v, want (m,%d)", x.shape, w.k))
+	}
+	out := New(x.shape[0], w.n)
+	DenseQ8Into(out, x, w, bias, relu)
+	return out
+}
+
+// DenseQ8Into is DenseQ8 writing into out, an (m,n) tensor that must not
+// overlap x. Like DenseInto it assigns every element of out and reads none.
+func DenseQ8Into(out, x *Tensor, w *Q8Pairs, bias *Tensor, relu bool) {
 	if x.Rank() != 2 || x.shape[1] != w.k {
 		panic(fmt.Sprintf("tensor: DenseQ8 input shape %v, want (m,%d)", x.shape, w.k))
+	}
+	m, k2 := x.shape[0], (w.k+1)/2
+	if out.Rank() != 2 || out.shape[0] != m || out.shape[1] != w.n {
+		panic(fmt.Sprintf("tensor: DenseQ8 output shape %v, want (%d,%d)", out.shape, m, w.n))
 	}
 	var b []float32
 	if bias != nil {
@@ -233,7 +260,6 @@ func DenseQ8(x *Tensor, w *Q8Pairs, bias *Tensor, relu bool) *Tensor {
 		}
 		b = bias.data
 	}
-	m, k2 := x.shape[0], (w.k+1)/2
 	s := q8ScratchPool.Get().(*q8Scratch)
 	if cap(s.words) < m*k2 {
 		s.words = make([]int32, m*k2)
@@ -242,22 +268,19 @@ func DenseQ8(x *Tensor, w *Q8Pairs, bias *Tensor, relu bool) *Tensor {
 		s.scales = make([]float32, m)
 	}
 	a, as := s.words[:m*k2], s.scales[:m]
-	out := New(m, w.n)
 	kernelQ8Calls.Add(1)
 	vec := haveAVX2 && m >= tileRows && w.n >= tileCols && w.k >= 1 && w.k <= q8WideK
 	if vec {
 		kernelVectorCalls.Add(1)
 	}
-	rows := func(r0, r1 int) { q8Rows(out.data, a, as, x.data, w, b, relu, vec, r0, r1) }
 	workers, release := fanOut(m, m*w.k*w.n)
 	if workers == 1 {
-		rows(0, m)
+		q8Rows(out.data, a, as, x.data, w, b, relu, vec, 0, m)
 	} else {
-		bandLoop(m, workers, rows)
+		bandLoop(m, workers, func(r0, r1 int) { q8Rows(out.data, a, as, x.data, w, b, relu, vec, r0, r1) })
 		release()
 	}
 	q8ScratchPool.Put(s)
-	return out
 }
 
 // q8Rows quantizes rows [r0,r1) of x into pair words and computes those

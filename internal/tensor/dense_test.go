@@ -133,6 +133,71 @@ func TestDenseMatchesGoKernel(t *testing.T) {
 	}
 }
 
+// dirty returns an (m,n) tensor of NaNs and infinities: an output buffer
+// whose old contents would show if a kernel read or kept any of them.
+func dirty(m, n int) *Tensor {
+	t := New(m, n)
+	for i := range t.data {
+		t.data[i] = []float32{float32(math.NaN()), float32(math.Inf(1)), -1e30}[i%3]
+	}
+	return t
+}
+
+// DenseInto and DenseQ8Into assign every output element: into a buffer
+// full of NaNs they return the bits of Dense and DenseQ8 into a fresh one,
+// on every shape the kernels fork on.
+func TestDenseIntoOverwritesEveryElement(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	for i, c := range denseCases() {
+		sp := specialsFor(i)
+		x := specialTensor(rng, sp, c.m, c.k)
+		w := specialTensor(rng, sp, c.n, c.k)
+		var bias *Tensor
+		if i%2 == 1 {
+			bias = randTensor(rng, c.n)
+		}
+		relu := i%4 >= 2
+		out := dirty(c.m, c.n)
+		DenseInto(out, x, w, bias, relu)
+		sameBits(t, fmt.Sprintf("%v bias=%v relu=%v", c, bias != nil, relu), out.data, Dense(x, w, bias, relu).data)
+	}
+	for i, c := range []denseCase{{1, 28, 8}, {5, 27, 17}, {256, 28, 1024}, {13, 255, 33}} {
+		x, w8, ws := q8Operands(rng, specialsFor(i), c.m, c.k, c.n)
+		pairs := NewQ8Pairs(w8, ws, c.n, c.k)
+		bias := randTensor(rng, c.n)
+		out := dirty(c.m, c.n)
+		DenseQ8Into(out, x, pairs, bias, i%2 == 0)
+		sameBits(t, fmt.Sprintf("q8 %v", c), out.data, DenseQ8(x, pairs, bias, i%2 == 0).data)
+	}
+}
+
+// A serial dense product allocates nothing beyond its output: DenseInto
+// and DenseQ8Into allocate nothing at all once the panel and scratch pools
+// are warm.
+func TestDenseIntoSerialAllocatesNothing(t *testing.T) {
+	if testutil.Race {
+		t.Skip("the race detector drops pooled scratch at random")
+	}
+	SetMaxWorkers(1)
+	t.Cleanup(func() { SetMaxWorkers(0) })
+	rng := rand.New(rand.NewSource(52))
+	x, w, bias := randTensor(rng, 256, 28), randTensor(rng, 1024, 28), randTensor(rng, 1024)
+	_, w8, ws := q8Operands(rng, quietNaNs, 256, 28, 1024)
+	pairs := NewQ8Pairs(w8, ws, 1024, 28)
+	out := New(256, 1024)
+	if n := testing.AllocsPerRun(20, func() { DenseInto(out, x, w, bias, true) }); n != 0 {
+		t.Fatalf("DenseInto allocated %v times a call", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { DenseQ8Into(out, x, pairs, bias, true) }); n != 0 {
+		t.Fatalf("DenseQ8Into allocated %v times a call", n)
+	}
+	m, n := x.Dim(0), w.Dim(0)
+	want := testing.AllocsPerRun(20, func() { benchSink = New(m, n) })
+	if n := testing.AllocsPerRun(20, func() { benchSink = Dense(x, w, bias, true) }); n != want {
+		t.Fatalf("Dense allocated %v times a call, want %v (its output)", n, want)
+	}
+}
+
 // Fanning out across row bands must not change a bit: every band runs the
 // same kernels, and a band's leftover rows take the 1-row tile.
 func TestDenseWorkersBitIdentical(t *testing.T) {

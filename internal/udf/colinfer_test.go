@@ -131,3 +131,36 @@ func TestInferOpColumnarPipelined(t *testing.T) {
 		}
 	}
 }
+
+// Only the columnar path extends rows in place: a row-path child keeps its
+// tuples, even ones with spare capacity, and both paths emit the input
+// columns followed by the prediction.
+func TestInferOpExtendsOnlyOwnedRowsInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	m := nn.FraudFC(rng, 32)
+	rows := featRows(rng, 20, 28)
+	for i, r := range rows {
+		rows[i] = append(make(table.Tuple, 0, len(r)+1), r...)
+	}
+	h := featHeap(t, rows)
+	for _, child := range []exec.Operator{exec.NewMemScan(featSchema(), rows), exec.NewHeapScan(h)} {
+		op, err := NewInferOp(child, NewModelUDF(m, nil), "features", 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := exec.Collect(op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range out {
+			if len(r) != 3 || r[0].Int != int64(i) || r[2].Type != table.FloatVec || len(r[2].Vec) != 2 {
+				t.Fatalf("row %d = %v", i, r)
+			}
+		}
+	}
+	for i, r := range rows {
+		if spare := r[:cap(r)][len(r)]; spare.Type != 0 {
+			t.Fatalf("the row path wrote %v past the end of child row %d", spare, i)
+		}
+	}
+}

@@ -152,9 +152,12 @@ type InferOp struct {
 // inferBatch is one decoded micro-batch flowing producer → consumer. After
 // process(), preds holds all rows' predictions in one batch-sized backing
 // array and predW their width; emitted rows carve disjoint subslices out of
-// it, so the per-row path allocates only the output tuple.
+// it, so the per-row path allocates only the output tuple — and nothing
+// when the batch came from a ColBatch, whose tuples have room for the
+// prediction.
 type inferBatch struct {
 	tuples []table.Tuple
+	spare  bool // each tuple has capacity for one more value, owned by the batch
 	feats  []float32
 	width  int
 	err    error
@@ -344,6 +347,7 @@ func (o *InferOp) pullColumnar() *inferBatch {
 	if n > 0 {
 		o.stats.ColBatches.Add(1)
 		b.tuples = cb.Tuples
+		b.spare = true
 		b.feats = cb.Feats
 		b.width = cb.Width
 	}
@@ -562,10 +566,10 @@ func (o *InferOp) Next() (table.Tuple, bool, error) {
 			w := o.cur.predW
 			pred := o.cur.preds[o.pos*w : (o.pos+1)*w : (o.pos+1)*w]
 			o.pos++
-			out := make(table.Tuple, 0, len(t)+1)
-			out = append(out, t...)
-			out = append(out, table.VecVal(pred))
-			return out, true, nil
+			if !o.cur.spare {
+				t = append(make(table.Tuple, 0, len(t)+1), t...)
+			}
+			return append(t, table.VecVal(pred)), true, nil
 		}
 		if o.done {
 			return nil, false, nil

@@ -14,6 +14,7 @@ package udf
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"tensorbase/internal/lifecycle"
 	"tensorbase/internal/memlimit"
@@ -48,96 +49,119 @@ func ApplyCancel(u UDF, tok *lifecycle.Token, in *tensor.Tensor) (*tensor.Tensor
 }
 
 // ModelUDF fuses a whole model forward pass into a single UDF.
-type ModelUDF struct {
-	model  *nn.Model
-	budget *memlimit.Budget
-}
+type ModelUDF struct{ fused }
 
 // NewModelUDF wraps m as one coarse-grained UDF charged against budget
 // (nil means unlimited).
 func NewModelUDF(m *nn.Model, budget *memlimit.Budget) *ModelUDF {
-	if budget == nil {
-		budget = memlimit.Unlimited()
-	}
-	return &ModelUDF{model: m, budget: budget}
+	return &ModelUDF{newFused("model:"+m.Name(), m, budget)}
 }
 
-// Name implements UDF.
-func (u *ModelUDF) Name() string { return "model:" + u.model.Name() }
-
-// Model returns the wrapped model.
-func (u *ModelUDF) Model() *nn.Model { return u.model }
-
-// Apply implements UDF: it reserves the largest per-operator footprint
-// (the paper's m·k + k·n + m·n rule) for the duration of the call. A panic
-// inside the forward pass (a bad weight shape, a malformed batch) is
-// contained here: it comes back as a *lifecycle.PanicError query error, the
-// reservation is released, and the database process survives.
-func (u *ModelUDF) Apply(in *tensor.Tensor) (out *tensor.Tensor, err error) {
-	batch := in.Dim(0)
-	peak, merr := u.model.MaxOpBytes(batch)
-	if merr != nil {
-		return nil, fmt.Errorf("udf: %s: %w", u.Name(), merr)
-	}
-	res, rerr := u.budget.TryReserve(peak)
-	if rerr != nil {
-		return nil, fmt.Errorf("udf: %s batch %d: %w", u.Name(), batch, rerr)
-	}
-	defer res.Close()
-	defer func() {
-		if perr := lifecycle.AsError(recover()); perr != nil {
-			out, err = nil, fmt.Errorf("udf: %s: %w", u.Name(), perr)
-		}
-	}()
-	return u.model.Forward(in), nil
-}
+// Apply implements UDF; see fused.apply.
+func (u *ModelUDF) Apply(in *tensor.Tensor) (*tensor.Tensor, error) { return u.apply(in) }
 
 // QuantizedUDF fuses the int8-resident twin of a model (see
 // nn.QuantizeResident) into a single UDF: weights stay packed int8, each
 // batch's activations quantize per row on entry, and the forward pass runs
 // the packed int8 GEMM. Per-row activation scales keep its outputs
 // batch-composition independent, so caching and miss compaction work unchanged.
-type QuantizedUDF struct {
-	model  *nn.Model // the resident quantized twin
-	owner  string    // the source model's name (registry key suffix)
-	budget *memlimit.Budget
-}
+type QuantizedUDF struct{ fused }
 
 // NewQuantizedUDF wraps the quantized twin q of the model named owner,
 // charged against budget (nil means unlimited).
 func NewQuantizedUDF(q *nn.Model, owner string, budget *memlimit.Budget) *QuantizedUDF {
+	return &QuantizedUDF{newFused("quantized:"+owner, q, budget)}
+}
+
+// Apply implements UDF; see fused.apply. The peak-footprint estimate
+// reflects the quantized layers' smaller resident weights.
+func (u *QuantizedUDF) Apply(in *tensor.Tensor) (*tensor.Tensor, error) { return u.apply(in) }
+
+// workspacesBuilt counts nn.Workspaces made by every fused UDF.
+var workspacesBuilt atomic.Int64
+
+// WorkspacesBuilt returns how many forward-pass workspaces the process's
+// model UDFs have built. A UDF builds one only when every one it holds is
+// in use, so the count grows to the peak number of concurrent calls.
+func WorkspacesBuilt() int64 { return workspacesBuilt.Load() }
+
+// fused is the whole-model forward pass behind ModelUDF and QuantizedUDF:
+// one reservation, one workspace and one panic boundary per call.
+type fused struct {
+	name   string
+	model  *nn.Model
+	budget *memlimit.Budget
+
+	mu   sync.Mutex
+	free []*nn.Workspace // idle workspaces, dropped with the UDF
+}
+
+func newFused(name string, m *nn.Model, budget *memlimit.Budget) fused {
 	if budget == nil {
 		budget = memlimit.Unlimited()
 	}
-	return &QuantizedUDF{model: q, owner: owner, budget: budget}
+	return fused{name: name, model: m, budget: budget}
 }
 
 // Name implements UDF.
-func (u *QuantizedUDF) Name() string { return "quantized:" + u.owner }
+func (u *fused) Name() string { return u.name }
 
-// Model returns the resident quantized twin.
-func (u *QuantizedUDF) Model() *nn.Model { return u.model }
+// Model returns the wrapped model.
+func (u *fused) Model() *nn.Model { return u.model }
 
-// Apply implements UDF with the same reservation and panic-containment
-// contract as ModelUDF.Apply; the peak-footprint estimate reflects the
-// quantized layers' smaller resident weights.
-func (u *QuantizedUDF) Apply(in *tensor.Tensor) (out *tensor.Tensor, err error) {
+// apply reserves the largest per-operator footprint (the paper's
+// m·k + k·n + m·n rule) for the duration of the call and runs the forward
+// pass in a workspace checked out for the same span. The workspace is used
+// only when its bytes fit inside the reservation; a batch smaller than the
+// one it grew for runs without it. A panic inside the forward pass (a bad
+// weight shape, a malformed batch) is contained here: it comes back as a
+// *lifecycle.PanicError query error, the reservation is released, the
+// workspace is dropped rather than reused, and the database process
+// survives.
+func (u *fused) apply(in *tensor.Tensor) (out *tensor.Tensor, err error) {
 	batch := in.Dim(0)
 	peak, merr := u.model.MaxOpBytes(batch)
 	if merr != nil {
-		return nil, fmt.Errorf("udf: %s: %w", u.Name(), merr)
+		return nil, fmt.Errorf("udf: %s: %w", u.name, merr)
 	}
 	res, rerr := u.budget.TryReserve(peak)
 	if rerr != nil {
-		return nil, fmt.Errorf("udf: %s batch %d: %w", u.Name(), batch, rerr)
+		return nil, fmt.Errorf("udf: %s batch %d: %w", u.name, batch, rerr)
 	}
 	defer res.Close()
 	defer func() {
 		if perr := lifecycle.AsError(recover()); perr != nil {
-			out, err = nil, fmt.Errorf("udf: %s: %w", u.Name(), perr)
+			out, err = nil, fmt.Errorf("udf: %s: %w", u.name, perr)
 		}
 	}()
-	return u.model.Forward(in), nil
+	ws := u.checkout()
+	run := ws
+	if need := u.model.WorkspaceBytes(batch); need < 0 || max(need, ws.Bytes()) > peak {
+		run = nil
+	}
+	out = u.model.ForwardFrom(in, 0, run)
+	u.checkin(ws)
+	return out, nil
+}
+
+// checkout takes an idle workspace, building one when none is idle.
+func (u *fused) checkout() *nn.Workspace {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	if n := len(u.free); n > 0 {
+		ws := u.free[n-1]
+		u.free = u.free[:n-1]
+		return ws
+	}
+	workspacesBuilt.Add(1)
+	return new(nn.Workspace)
+}
+
+// checkin returns ws to the idle list.
+func (u *fused) checkin(ws *nn.Workspace) {
+	u.mu.Lock()
+	u.free = append(u.free, ws)
+	u.mu.Unlock()
 }
 
 // OperatorUDF wraps a single model operator as a fine-grained UDF.
