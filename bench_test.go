@@ -549,8 +549,7 @@ func BenchmarkPipeline(b *testing.B) {
 	})
 }
 
-// BenchmarkModelSerialization compares the full-precision and quantized
-// model formats (Sec. 4 compression).
+// BenchmarkModelSerialization measures writing a model in the TBM1 format.
 func BenchmarkModelSerialization(b *testing.B) {
 	rng := rand.New(rand.NewSource(23))
 	m := nn.FraudFC(rng, 512)
@@ -559,15 +558,6 @@ func BenchmarkModelSerialization(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var buf bytes.Buffer
 			if err := nn.Save(&buf, m); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("tbq1-quantized", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var buf bytes.Buffer
-			if err := nn.SaveQuantized(&buf, m); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -5,7 +5,6 @@
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"log"
 	"math/rand"
@@ -21,7 +20,7 @@ import (
 )
 
 func main() {
-	// Train a model, then derive an 8-bit quantized version.
+	// Train a model, then derive its int8-resident twin.
 	train := data.Clusters(9, 1200, 24, 4, 0.4)
 	rng := rand.New(rand.NewSource(10))
 	model := nn.MustModel("classifier", []int{1, 24},
@@ -34,29 +33,21 @@ func main() {
 		log.Fatal(err)
 	}
 	fullAcc := accuracy(model, train)
-	quant, err := nn.Quantize8(model, "classifier")
+	quant, err := nn.QuantizeResident(model)
 	if err != nil {
 		log.Fatal(err)
 	}
 	quantAcc := accuracy(quant, train)
-
-	var fullBuf, quantBuf bytes.Buffer
-	if err := nn.Save(&fullBuf, model); err != nil {
-		log.Fatal(err)
-	}
-	if err := nn.SaveQuantized(&quantBuf, model); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("original:        accuracy %.2f%%, %6d bytes on disk\n", 100*fullAcc, fullBuf.Len())
-	fmt.Printf("quantized-8bit:  accuracy %.2f%%, %6d bytes on disk (%.1fx smaller)\n",
-		100*quantAcc, quantBuf.Len(), float64(fullBuf.Len())/float64(quantBuf.Len()))
+	fmt.Printf("original:        accuracy %.2f%%, %6d resident weight bytes\n", 100*fullAcc, model.ParamBytes())
+	fmt.Printf("int8 twin:       accuracy %.2f%%, %6d resident weight bytes (%.1fx smaller)\n",
+		100*quantAcc, quant.ParamBytes(), float64(model.ParamBytes())/float64(quant.ParamBytes()))
 
 	// Register both in the catalog; let the SLA pick.
 	cat := catalog.New()
 	if err := cat.RegisterModel(model, fullAcc, "train"); err != nil {
 		log.Fatal(err)
 	}
-	if err := cat.AddVersionSized(model.Name(), quant, "quantized-8bit", quantAcc, int64(quantBuf.Len())); err != nil {
+	if err := cat.AddVersion(model.Name(), quant, "quantized-8bit", quantAcc); err != nil {
 		log.Fatal(err)
 	}
 	for _, sla := range []float64{quantAcc - 0.001, (quantAcc + fullAcc) / 2} {

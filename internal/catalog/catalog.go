@@ -154,13 +154,6 @@ func (c *Catalog) RegisterModel(m *nn.Model, accuracy float64, trainedOn string)
 // AddVersion attaches a compressed variant to a registered model, sized by
 // its in-memory parameters.
 func (c *Catalog) AddVersion(name string, m *nn.Model, tag string, accuracy float64) error {
-	return c.AddVersionSized(name, m, tag, accuracy, m.ParamBytes())
-}
-
-// AddVersionSized attaches a variant with an explicit storage size —
-// quantized models occupy the same RAM once loaded but far less storage, so
-// the size the SLA selector minimises is the caller's to define.
-func (c *Catalog) AddVersionSized(name string, m *nn.Model, tag string, accuracy float64, bytes int64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.models[name]
@@ -173,7 +166,7 @@ func (c *Catalog) AddVersionSized(name string, m *nn.Model, tag string, accuracy
 		}
 	}
 	e.Versions = append(e.Versions, ModelVersion{
-		Model: m, Tag: tag, Accuracy: accuracy, Bytes: bytes,
+		Model: m, Tag: tag, Accuracy: accuracy, Bytes: m.ParamBytes(),
 	})
 	return nil
 }

@@ -626,8 +626,9 @@ func (db *DB) registerModel(m *nn.Model, accuracy float64, mf *nn.Manifest) erro
 	if err := db.addServingState(m.Name(), m); err != nil {
 		return err
 	}
-	// A model whose layers cannot be quantized simply has no twin; asking
-	// for OPTIONS (quantized) over it is a query-time error. The twin is
+	// A model whose layers cannot be quantized, or that holds a non-finite
+	// weight, simply has no twin; asking for OPTIONS (quantized) over it is
+	// a query-time error. The twin is
 	// built from the reassembled (block-backed) tensors, so quantized
 	// serving is byte-for-byte what it was before deduplication.
 	if q, qerr := nn.QuantizeResident(m); qerr == nil {

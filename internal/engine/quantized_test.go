@@ -2,8 +2,12 @@ package engine
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
+
+	"tensorbase/internal/data"
+	"tensorbase/internal/nn"
 )
 
 // TestPredictQuantizedAccuracyGate is the accuracy-delta gate for quantized
@@ -115,6 +119,46 @@ func TestPredictQuantizedCacheIsolation(t *testing.T) {
 	}
 	if identical {
 		t.Fatal("quantized output bit-identical to f32 across the whole table — suspicious (cache bleed?)")
+	}
+}
+
+// TestPredictQuantizedNonFiniteWeight: a model with a NaN or ±Inf weight
+// has no int8 twin, so OPTIONS (quantized) over it is the "has no quantized
+// twin" statement error (a 400 over HTTP), while its f32 PREDICT still
+// answers exactly what the model's own forward pass does.
+func TestPredictQuantizedNonFiniteWeight(t *testing.T) {
+	d := data.Fraud(1, 20)
+	rows, schema, err := d.FeatureRows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+		db := openDB(t, Options{InferBatch: 8})
+		if _, err := db.CreateTable("txns", schema); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.InsertRows("txns", rows); err != nil {
+			t.Fatal(err)
+		}
+		m := nn.FraudFC(rand.New(rand.NewSource(2)), 32)
+		m.Layers[0].(*nn.Linear).W.Set(bad, 3, 5)
+		if err := db.LoadModel(m, 0.95); err != nil {
+			t.Fatal(err)
+		}
+		_, err := db.Exec("SELECT PREDICT(Fraud-FC-32, features) OPTIONS (quantized) FROM txns")
+		if err == nil || !strings.Contains(err.Error(), "has no quantized twin") {
+			t.Fatalf("weight %v: quantized PREDICT error = %v, want no quantized twin", bad, err)
+		}
+		want := m.Forward(d.X.Clone())
+		res := mustExec(t, db, "SELECT id, PREDICT(Fraud-FC-32, features) FROM txns")
+		for _, r := range res.Rows {
+			for j, got := range r[1].Vec {
+				w := want.At(int(r[0].Int), j)
+				if math.Float32bits(got) != math.Float32bits(w) && !(got != got && w != w) {
+					t.Fatalf("weight %v: row %d[%d] = %v, want the model's %v", bad, r[0].Int, j, got, w)
+				}
+			}
+		}
 	}
 }
 

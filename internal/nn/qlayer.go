@@ -1,43 +1,52 @@
 package nn
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"io"
+	"math"
 
 	"tensorbase/internal/tensor"
 )
 
 // Resident quantized execution: the storage optimizer's compressed model
 // versions (Sec. 4) are only worth serving if the int8 weights stay int8 at
-// run time. LoadQuantizedResident builds a model whose Linear/Conv2D layers
-// hold their weights as int8 + per-output-channel scales — one quarter the
-// weight bytes — held as tensor.Q8Pairs (int16 pairs, 2 bytes a weight),
-// and quantize their activations per batch on entry so the forward pass
-// runs the int8 GEMM (tensor.DenseQ8) instead of the f32 kernel.
+// run time. QuantizeResident builds a model's twin whose Linear/Conv2D
+// layers hold their weights as int8 + one symmetric scale per output
+// channel, packed as tensor.Q8Pairs (int16 pairs, 2 bytes a weight), and
+// quantize their activations per row on entry so the forward pass runs the
+// int8 GEMM (tensor.DenseQ8) instead of the f32 kernel.
 
-// QuantTensor is an int8-quantized tensor: Shape, one scale per dim-0
-// slice (output channel), and the row-major int8 payload.
-type QuantTensor struct {
-	Shape  []int
-	Scales []float32 // len = Shape[0]
-	Data   []int8
-}
-
-// Dequantize expands the tensor back to float32.
-func (q *QuantTensor) Dequantize() *tensor.Tensor {
-	t := tensor.New(q.Shape...)
-	stride := 1
-	if q.Shape[0] != 0 {
-		stride = t.Len() / q.Shape[0]
+// QuantizeResident returns the int8-resident twin of m, built straight
+// from its f32 tensors. Linear and Conv2D become QuantLinear and
+// QuantConv2D; biases stay exact f32 and, like the parameter-free layers,
+// are shared with m. Any other layer type is an error, and so is a
+// non-finite weight: NaN has no int8 image and ±Inf would scale its whole
+// channel to zero, so the twin would answer where m answers NaN. A model
+// without a twin is served in f32 only.
+func QuantizeResident(m *Model) (*Model, error) {
+	layers := make([]Layer, len(m.Layers))
+	for i, l := range m.Layers {
+		var err error
+		switch l := l.(type) {
+		case *Linear:
+			var g qGemm
+			if g, err = newQGemm(l.W); err == nil {
+				layers[i] = &QuantLinear{gemm: g, B: l.B}
+			}
+		case *Conv2D:
+			var g qGemm
+			if g, err = newQGemm(l.K); err == nil {
+				layers[i] = &QuantConv2D{kh: l.K.Dim(1), kw: l.K.Dim(2), inC: l.K.Dim(3), gemm: g}
+			}
+		case ReLU, Sigmoid, Softmax, Flatten:
+			layers[i] = l
+		default:
+			err = fmt.Errorf("unsupported layer type %T", l)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("nn: quantize layer %d (%s): %w", i, l.Name(), err)
+		}
 	}
-	data := t.Data()
-	for i, v := range q.Data {
-		data[i] = float32(v) * q.Scales[i/stride]
-	}
-	return t
+	return NewModel(m.ModelName, m.InShape, layers...)
 }
 
 // q8MinN is the narrowest output width the int8 GEMM path serves.
@@ -59,21 +68,41 @@ type qGemm struct {
 	wf    *tensor.Tensor // (n,k) dequantized weights when n < q8MinN, else nil
 }
 
-func newQGemm(w8 []int8, scales []float32, n, k int) qGemm {
-	g := qGemm{k: k, n: n}
-	if n < q8MinN {
-		g.wf = tensor.New(n, k)
-		data := g.wf.Data()
-		for j := 0; j < n; j++ {
-			s := scales[j]
-			for p := 0; p < k; p++ {
-				data[j*k+p] = float32(w8[j*k+p]) * s
+// newQGemm quantizes w, whose dim-0 slices are its output channels, to
+// int8 with one symmetric scale (max|w| / 127) per channel.
+func newQGemm(w *tensor.Tensor) (qGemm, error) {
+	n := w.Dim(0)
+	k := w.Len() / max(n, 1)
+	data := w.Data()
+	w8 := make([]int8, len(data))
+	scales := make([]float32, n)
+	for c := range scales {
+		var maxAbs float32
+		for _, v := range data[c*k : (c+1)*k] {
+			if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+				return qGemm{}, fmt.Errorf("non-finite weight %v in output channel %d", v, c)
 			}
+			maxAbs = max(maxAbs, float32(math.Abs(float64(v))))
 		}
-		return g
+		s := maxAbs / 127
+		if s == 0 { // an all-zero (or all-subnormal) channel: any scale rounds it to zeros
+			s = 1
+		}
+		scales[c] = s
+		for p, v := range data[c*k : (c+1)*k] {
+			w8[c*k+p] = int8(max(-127, min(127, math.Round(float64(v/s)))))
+		}
 	}
-	g.pairs = tensor.NewQ8Pairs(w8, scales, n, k)
-	return g
+	g := qGemm{k: k, n: n}
+	if n >= q8MinN {
+		g.pairs = tensor.NewQ8Pairs(w8, scales, n, k)
+		return g, nil
+	}
+	g.wf = tensor.New(n, k)
+	for i, q := range w8 {
+		g.wf.Data()[i] = float32(q) * scales[i/k]
+	}
+	return g, nil
 }
 
 // apply runs the (m,k) f32 batch x through the layer's GEMM, with bias
@@ -113,19 +142,6 @@ func (g *qGemm) paramBytes() int64 {
 type QuantLinear struct {
 	gemm qGemm
 	B    *tensor.Tensor // (out), may be nil
-}
-
-// NewQuantLinear builds the resident layer from a quantized (out,in)
-// weight tensor and an optional exact bias.
-func NewQuantLinear(w *QuantTensor, b *tensor.Tensor) (*QuantLinear, error) {
-	if len(w.Shape) != 2 {
-		return nil, fmt.Errorf("nn: quant linear weight must be 2-D, got %v", w.Shape)
-	}
-	out, in := w.Shape[0], w.Shape[1]
-	if b != nil && b.Len() != out {
-		return nil, fmt.Errorf("nn: quant linear bias length %d, want %d", b.Len(), out)
-	}
-	return &QuantLinear{gemm: newQGemm(w.Data, w.Scales, out, in), B: b}, nil
 }
 
 // In returns the input width.
@@ -184,18 +200,6 @@ type QuantConv2D struct {
 	gemm        qGemm // n = outC, k = kh·kw·inC
 }
 
-// NewQuantConv2D builds the resident layer from a quantized OHWI kernel.
-func NewQuantConv2D(k *QuantTensor) (*QuantConv2D, error) {
-	if len(k.Shape) != 4 {
-		return nil, fmt.Errorf("nn: quant conv2d kernel must be 4-D, got %v", k.Shape)
-	}
-	outC, kh, kw, inC := k.Shape[0], k.Shape[1], k.Shape[2], k.Shape[3]
-	return &QuantConv2D{
-		kh: kh, kw: kw, inC: inC,
-		gemm: newQGemm(k.Data, k.Scales, outC, kh*kw*inC),
-	}, nil
-}
-
 // Name implements Layer.
 func (c *QuantConv2D) Name() string { return "conv2d.q8" }
 
@@ -234,97 +238,4 @@ func (c *QuantConv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	f := tensor.Im2Col(x, c.kh, c.kw) // (n·oh·ow, kh·kw·inC)
 	y := c.gemm.apply(f, nil, false)
 	return y.Reshape(n, oh, ow, c.gemm.n)
-}
-
-// LoadQuantizedResident reads a TBQ1 model keeping the weights quantized:
-// Linear/Conv2D layers become QuantLinear/QuantConv2D running the int8
-// GEMM, everything else loads as usual.
-func LoadQuantizedResident(r io.Reader) (*Model, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(quantMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("nn: reading magic: %w", err)
-	}
-	if string(magic) != quantMagic {
-		return nil, fmt.Errorf("nn: bad magic %q, want %q", magic, quantMagic)
-	}
-	name, err := readString(br)
-	if err != nil {
-		return nil, err
-	}
-	inShape, err := readShape(br)
-	if err != nil {
-		return nil, err
-	}
-	count, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	if count > 1<<16 {
-		return nil, fmt.Errorf("nn: implausible layer count %d", count)
-	}
-	layers := make([]Layer, 0, count)
-	for i := uint64(0); i < count; i++ {
-		l, err := readQuantLayerResident(br)
-		if err != nil {
-			return nil, fmt.Errorf("nn: reading quantized layer %d: %w", i, err)
-		}
-		layers = append(layers, l)
-	}
-	return NewModel(name, inShape, layers...)
-}
-
-func readQuantLayerResident(br *bufio.Reader) (Layer, error) {
-	tag, err := br.ReadByte()
-	if err != nil {
-		return nil, err
-	}
-	switch tag {
-	case tagLinear:
-		w, err := readQuantTensorRaw(br)
-		if err != nil {
-			return nil, err
-		}
-		hasBias, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		var b *tensor.Tensor
-		if hasBias == 1 {
-			if b, err = readTensor(br); err != nil {
-				return nil, err
-			}
-		}
-		return NewQuantLinear(w, b)
-	case tagConv2D:
-		k, err := readQuantTensorRaw(br)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := br.ReadByte(); err != nil { // im2col flag: always im2col here
-			return nil, err
-		}
-		return NewQuantConv2D(k)
-	case tagReLU:
-		return ReLU{}, nil
-	case tagSigmoid:
-		return Sigmoid{}, nil
-	case tagSoftmax:
-		return Softmax{}, nil
-	case tagFlatten:
-		return Flatten{}, nil
-	default:
-		return nil, fmt.Errorf("unknown layer tag %d", tag)
-	}
-}
-
-// QuantizeResident returns the int8-resident twin of m via an in-memory
-// TBQ1 round trip, so the resident model is exactly what serving a saved
-// quantized version would load.
-func QuantizeResident(m *Model) (*Model, error) {
-	var buf bytes.Buffer
-	if err := SaveQuantized(&buf, m); err != nil {
-		return nil, err
-	}
-	return LoadQuantizedResident(&buf)
 }

@@ -23,14 +23,6 @@ func SigmoidInto(t *Tensor) *Tensor {
 	return t
 }
 
-// TanhInto applies tanh elementwise in place and returns t.
-func TanhInto(t *Tensor) *Tensor {
-	for i, v := range t.data {
-		t.data[i] = float32(math.Tanh(float64(v)))
-	}
-	return t
-}
-
 // SoftmaxRowsInto applies a numerically stable softmax to each row of a 2-D
 // tensor in place and returns t.
 func SoftmaxRowsInto(t *Tensor) *Tensor {
@@ -75,14 +67,6 @@ func AddBiasRowsInto(t *Tensor, bias *Tensor) *Tensor {
 		for j, b := range bias.data {
 			row[j] += b
 		}
-	}
-	return t
-}
-
-// ScaleInto multiplies every element by s in place and returns t.
-func ScaleInto(t *Tensor, s float32) *Tensor {
-	for i := range t.data {
-		t.data[i] *= s
 	}
 	return t
 }
