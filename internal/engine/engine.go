@@ -342,6 +342,7 @@ func (db *DB) registerMetrics() {
 	r.CounterFunc("tensorbase_disk_page_frees_total", "heap pages handed to the storage free list", func() float64 { f, _, _ := db.disk.FreeStats(); return float64(f) })
 	r.CounterFunc("tensorbase_disk_page_reuses_total", "allocations served from the free list", func() float64 { _, ru, _ := db.disk.FreeStats(); return float64(ru) })
 	r.GaugeFunc("tensorbase_disk_free_pages", "pages currently on the free list", func() float64 { _, _, n := db.disk.FreeStats(); return float64(n) })
+	r.GaugeFunc("tensorbase_disk_pages", "pages in use: allocated minus free", func() float64 { return float64(db.disk.LivePages()) })
 
 	db.mSnapshotReads = r.Counter("tensorbase_snapshot_reads_total", "read statements served lock-free off a pinned MVCC snapshot")
 	db.mIndexLookups = r.Counter("tensorbase_index_lookups_total", "read statements served by a key lookup instead of a heap scan")

@@ -554,7 +554,8 @@ func TestExecProfiled(t *testing.T) {
 		t.Fatal("non-SELECT must be rejected by ExecProfiled")
 	}
 
-	// A CTE source is profiled as the "cte" stage under the same chain.
+	// A CTE source is profiled as the "cte" stage under the same chain;
+	// ORDER BY … LIMIT 5 is a top-k.
 	res, stats, err = db.ExecProfiled("WITH s AS (SELECT id FROM txns WHERE id < 30) SELECT id FROM s WHERE id >= 10 ORDER BY id DESC LIMIT 5")
 	if err != nil {
 		t.Fatal(err)
@@ -566,7 +567,7 @@ func TestExecProfiled(t *testing.T) {
 	for _, s := range stats {
 		names = append(names, s.Name)
 	}
-	if got, want := strings.Join(names, ","), "limit,sort,project,filter,cte"; got != want {
+	if got, want := strings.Join(names, ","), "limit,topk,project,filter,cte"; got != want {
 		t.Fatalf("cte stages = %s, want %s", got, want)
 	}
 	if stats[4].Rows != 30 || stats[3].Rows != 20 {

@@ -262,20 +262,20 @@ func (c *compiler) run(st *sql.Select, op exec.Operator) (*Result, []exec.StageS
 	}
 
 	if st.OrderBy != "" {
-		// External merge sort: ORDER BY spills runs through the buffer
-		// pool instead of materialising arbitrarily large inputs. Without
-		// a pool the rows are already in memory, and so is the sort.
-		var srt exec.Operator
-		if c.pool != nil {
-			srt, err = exec.NewExternalSort(op, st.OrderBy, st.OrderDesc, c.pool)
-		} else {
-			srt, err = exec.NewSort(op, st.OrderBy, st.OrderDesc)
-		}
+		// One sort decides from its inputs: a top-k under LIMIT k within
+		// its run budget, else in memory until a second run is needed,
+		// then spilling through the pool. Gathered rows have no pool and
+		// never spill.
+		srt, err := exec.NewSort(op, st.OrderBy, st.OrderDesc, st.Limit, c.pool)
 		if err != nil {
 			return nil, nil, err
 		}
 		exec.SetCancel(srt, c.tok)
-		op = c.wrap("sort", srt)
+		name := "sort"
+		if srt.TopK() {
+			name = "topk"
+		}
+		op = c.wrap(name, srt)
 	}
 	if st.Limit >= 0 {
 		op = c.wrap("limit", exec.NewLimit(op, st.Limit))

@@ -299,26 +299,9 @@ func (a *HashAggregate) Close() error {
 	return a.in.Close()
 }
 
-// Sort materialises the input and emits it ordered by a column.
-type Sort struct {
-	in   Operator
-	less func(a, b table.Tuple) bool
-	rows []table.Tuple
-	pos  int
-}
-
-// NewSort returns a sort of in by col (ascending unless desc).
-func NewSort(in Operator, col string, desc bool) (*Sort, error) {
-	less, err := orderLess(in.Schema(), col, desc)
-	if err != nil {
-		return nil, err
-	}
-	return &Sort{in: in, less: less}, nil
-}
-
 // orderLess resolves an ORDER BY column in s and returns the less-function
-// that Sort, ExternalSort and OrderedMerge all order by: the column's value,
-// ascending unless desc. A vector column has no order and is refused.
+// that Sort and OrderedMerge order by: the column's value, ascending
+// unless desc. A vector column has no order and is refused.
 func orderLess(s *table.Schema, col string, desc bool) (func(a, b table.Tuple) bool, error) {
 	idx := s.ColIndex(col)
 	if idx < 0 {
@@ -339,35 +322,4 @@ func orderLess(s *table.Schema, col string, desc bool) (func(a, b table.Tuple) b
 		return func(a, b table.Tuple) bool { return less(b, a) }, nil
 	}
 	return less, nil
-}
-
-// Schema implements Operator.
-func (s *Sort) Schema() *table.Schema { return s.in.Schema() }
-
-// Open implements Operator.
-func (s *Sort) Open() error {
-	rows, err := Collect(s.in)
-	if err != nil {
-		return err
-	}
-	sort.SliceStable(rows, func(i, j int) bool { return s.less(rows[i], rows[j]) })
-	s.rows = rows
-	s.pos = 0
-	return nil
-}
-
-// Next implements Operator.
-func (s *Sort) Next() (table.Tuple, bool, error) {
-	if s.pos >= len(s.rows) {
-		return nil, false, nil
-	}
-	t := s.rows[s.pos]
-	s.pos++
-	return t, true, nil
-}
-
-// Close implements Operator.
-func (s *Sort) Close() error {
-	s.rows = nil
-	return nil
 }

@@ -314,7 +314,7 @@ func TestHashAggregateValidation(t *testing.T) {
 func TestSortAscDesc(t *testing.T) {
 	s := intsSchema()
 	in := rows([2]float64{3, 3}, [2]float64{1, 1}, [2]float64{2, 2})
-	asc, err := NewSort(NewMemScan(s, in), "id", false)
+	asc, err := NewSort(NewMemScan(s, in), "id", false, -1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestSortAscDesc(t *testing.T) {
 	if got[0][0].Int != 1 || got[2][0].Int != 3 {
 		t.Fatalf("asc sort = %v", got)
 	}
-	desc, err := NewSort(NewMemScan(s, in), "id", true)
+	desc, err := NewSort(NewMemScan(s, in), "id", true, -1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,15 +336,15 @@ func TestSortAscDesc(t *testing.T) {
 	if got[0][0].Int != 3 {
 		t.Fatalf("desc sort = %v", got)
 	}
-	// A vector column has no order; the in-memory sort refuses it with
-	// the external sort's words.
+	// A vector column has no order; the sort refuses it in the same words
+	// with or without a LIMIT.
 	vs := table.MustSchema(table.Column{Name: "f", Type: table.FloatVec})
-	_, err = NewSort(NewMemScan(vs, nil), "f", false)
+	_, err = NewSort(NewMemScan(vs, nil), "f", false, -1, nil)
 	if err == nil || err.Error() != `exec: cannot sort by vector column "f"` {
 		t.Fatalf("vector sort: err = %v", err)
 	}
-	if _, err := NewExternalSort(NewMemScan(vs, nil), "f", false, nil); err == nil || err.Error() != `exec: cannot sort by vector column "f"` {
-		t.Fatalf("vector external sort: err = %v", err)
+	if _, err := NewSort(NewMemScan(vs, nil), "f", false, 3, nil); err == nil || err.Error() != `exec: cannot sort by vector column "f"` {
+		t.Fatalf("vector top-k: err = %v", err)
 	}
 }
 
@@ -360,7 +360,7 @@ func TestPipelineComposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srt, err := NewSort(p, "id", true)
+	srt, err := NewSort(p, "id", true, -1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

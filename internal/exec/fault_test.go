@@ -14,7 +14,7 @@ import (
 	"tensorbase/internal/table"
 )
 
-func faultySortPool(t *testing.T, frames int) (*storage.BufferPool, *fault.Injector) {
+func faultySortPool(t *testing.T, frames int) (*storage.BufferPool, *storage.DiskManager, *fault.Injector) {
 	t.Helper()
 	d, err := storage.OpenDisk(filepath.Join(t.TempDir(), "fsort.db"))
 	if err != nil {
@@ -23,7 +23,7 @@ func faultySortPool(t *testing.T, frames int) (*storage.BufferPool, *fault.Injec
 	t.Cleanup(func() { d.Close() })
 	inj := fault.New()
 	d.SetFaults(inj)
-	return storage.NewBufferPool(d, frames), inj
+	return storage.NewBufferPool(d, frames), d, inj
 }
 
 func sortInput(n int) (*table.Schema, []table.Tuple) {
@@ -36,12 +36,13 @@ func sortInput(n int) (*table.Schema, []table.Tuple) {
 }
 
 func TestExternalSortSurfacesSpillWriteFault(t *testing.T) {
-	pool, inj := faultySortPool(t, 8)
+	pool, d, inj := faultySortPool(t, 8)
 	s, in := sortInput(5000)
 	errIO := errors.New("spill write error")
 	inj.FailAfter("disk.write", errIO, 1)
+	live := d.LivePages()
 
-	ext, err := NewExternalSort(NewMemScan(s, in), "id", false, pool)
+	ext, err := NewSort(NewMemScan(s, in), "id", false, -1, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,14 +53,18 @@ func TestExternalSortSurfacesSpillWriteFault(t *testing.T) {
 	if got := pool.Pinned(); got != 0 {
 		t.Fatalf("pinned frames after failed sort = %d, want 0", got)
 	}
+	if got := d.LivePages(); got != live {
+		t.Fatalf("live pages after failed sort = %d, want %d: spill runs leaked", got, live)
+	}
 }
 
 func TestExternalSortSurfacesMergeReadFault(t *testing.T) {
-	pool, inj := faultySortPool(t, 4)
+	pool, d, inj := faultySortPool(t, 4)
 	s, in := sortInput(5000)
 	errIO := errors.New("merge read error")
+	live := d.LivePages()
 
-	ext, err := NewExternalSort(NewMemScan(s, in), "id", false, pool)
+	ext, err := NewSort(NewMemScan(s, in), "id", false, -1, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,27 +97,51 @@ func TestExternalSortSurfacesMergeReadFault(t *testing.T) {
 	if got := pool.Pinned(); got != 0 {
 		t.Fatalf("pinned frames = %d, want 0", got)
 	}
+	if got := d.LivePages(); got != live {
+		t.Fatalf("live pages after Close = %d, want %d: spill runs leaked", got, live)
+	}
 }
 
 func TestExternalSortCancelledMidSpill(t *testing.T) {
-	pool, _ := faultySortPool(t, 8)
+	pool, d, _ := faultySortPool(t, 8)
 	s, in := sortInput(5000)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // already cancelled: Open must bail out within one tuple
-	tok, stop := lifecycle.Watch(ctx)
-	defer stop()
-
-	ext, err := NewExternalSort(NewMemScan(s, in), "id", false, pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ext.RunRows = 128
-	ext.SetCancel(tok)
-	if _, err := Collect(ext); !errors.Is(err, context.Canceled) {
-		t.Fatalf("sort err = %v, want context.Canceled", err)
-	}
-	if got := pool.Pinned(); got != 0 {
-		t.Fatalf("pinned frames after cancelled sort = %d, want 0", got)
+	live := d.LivePages()
+	for _, at := range []int{1, 1000} { // before the first tuple; after 7 runs
+		ctx, cancel := context.WithCancel(context.Background())
+		tok, stop := lifecycle.Watch(ctx)
+		seen := 0
+		src := NewMap(NewMemScan(s, in), s, func(tp table.Tuple) (table.Tuple, error) {
+			if seen++; seen == at {
+				cancel()
+				for !tok.Canceled() {
+					runtime.Gosched()
+				}
+			}
+			return tp, nil
+		})
+		ext, err := NewSort(src, "id", false, -1, pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ext.RunRows = 128
+		ext.SetCancel(tok)
+		if _, err := Collect(ext); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancel at tuple %d: sort err = %v, want context.Canceled", at, err)
+		}
+		stop()
+		cancel()
+		if seen != at {
+			t.Fatalf("sort read %d tuples, want it to stop at the %dth", seen, at)
+		}
+		if at > 1 && ext.spillRuns == 0 {
+			t.Fatalf("cancel at tuple %d came before any spill", at)
+		}
+		if got := pool.Pinned(); got != 0 {
+			t.Fatalf("pinned frames after cancelled sort = %d, want 0", got)
+		}
+		if got := d.LivePages(); got != live {
+			t.Fatalf("live pages after cancelled sort = %d, want %d: spill runs leaked", got, live)
+		}
 	}
 }
 
@@ -120,7 +149,8 @@ func TestExternalSortCancelledMidSpill(t *testing.T) {
 // cancellation token per row, like a scan; its stage note names the key
 // and the candidate count.
 func TestHeapLookupCancelledMidStream(t *testing.T) {
-	h, err := table.NewHeap(sortPool(t, 8), table.MustSchema(table.Column{Name: "id", Type: table.Int64}))
+	pool, _ := sortPool(t, 8)
+	h, err := table.NewHeap(pool, table.MustSchema(table.Column{Name: "id", Type: table.Int64}))
 	if err != nil {
 		t.Fatal(err)
 	}

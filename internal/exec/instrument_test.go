@@ -69,13 +69,13 @@ func TestInstrumentedDoubleCloseCountsOnce(t *testing.T) {
 // end-to-end: the span must carry non-zero Close time, spill volume, and
 // pool fetch deltas.
 func TestProfiledExternalSortIncludesCloseAndSpill(t *testing.T) {
-	pool := sortPool(t, 8)
+	pool, _ := sortPool(t, 8)
 	s := intsSchema()
 	var in []table.Tuple
 	for i := 0; i < 2000; i++ {
 		in = append(in, table.Tuple{table.IntVal(int64(2000 - i)), table.FloatVal(float64(i))})
 	}
-	ext, err := NewExternalSort(NewMemScan(s, in), "id", false, pool)
+	ext, err := NewSort(NewMemScan(s, in), "id", false, -1, pool)
 	if err != nil {
 		t.Fatal(err)
 	}

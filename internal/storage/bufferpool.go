@@ -221,7 +221,8 @@ func (p *BufferPool) NewPage() (*Frame, error) {
 	f, err := p.victimLocked()
 	if err != nil {
 		p.mu.Unlock()
-		return nil, err
+		// No frame took the page: hand it back, or it leaks.
+		return nil, errors.Join(err, p.disk.Free(id))
 	}
 	f.id = id
 	f.pins = 1
