@@ -178,11 +178,18 @@ func (db *DB) saveBlockDurable(h blockstore.Hash, data []float32) error {
 // package comment for the crash-safety protocol.
 func (db *DB) saveCatalog() error {
 	newGen := db.gen + 1
+	// The file length and the free list are read in one step: a spilling
+	// sort allocates and frees pages under snapshot reads, which the
+	// checkpoint's locks do not exclude.
+	numPages, free := db.disk.FreeList()
 	meta := metaFile{
 		Version:    metaVersion,
 		Generation: newGen,
 		CommitCSN:  db.committedCSN.Load(),
-		NumPages:   db.disk.NumPages(),
+		NumPages:   numPages,
+	}
+	for _, id := range free {
+		meta.FreePages = append(meta.FreePages, uint32(id))
 	}
 	for _, name := range db.cat.Tables() {
 		te, err := db.cat.Table(name)
@@ -211,9 +218,6 @@ func (db *DB) saveCatalog() error {
 			mt.Cols = append(mt.Cols, metaColumn{Name: c.Name, Type: uint8(c.Type)})
 		}
 		meta.Tables = append(meta.Tables, mt)
-	}
-	for _, id := range db.disk.FreeList() {
-		meta.FreePages = append(meta.FreePages, uint32(id))
 	}
 	// Models: embed each durable model's manifest in the meta and persist
 	// only the referenced blocks that have no file yet. Memory-resident

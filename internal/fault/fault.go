@@ -24,6 +24,7 @@ type Injector struct {
 	rules  map[string][]*rule
 	counts map[string]uint64
 	fired  map[string]uint64
+	hooks  map[string][]func()
 }
 
 // rule is one scheduled fault for a point. Exactly one scheduling mode is
@@ -101,6 +102,29 @@ func (i *Injector) CorruptAt(point string, occurrences ...uint64) {
 	i.add(point, &rule{at: at, corrupt: true})
 }
 
+// Do runs fn at every visit to point, before the point's faults are
+// checked and outside the injector's lock, so a test can interleave an
+// action (say, a concurrent allocation) at an exact spot of the code under
+// test. fn may visit fault points itself.
+func (i *Injector) Do(point string, fn func()) {
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	if i.hooks == nil {
+		i.hooks = make(map[string][]func())
+	}
+	i.hooks[point] = append(i.hooks[point], fn)
+}
+
+// runHooks calls point's Do actions.
+func (i *Injector) runHooks(point string) {
+	i.mu.Lock()
+	hooks := i.hooks[point]
+	i.mu.Unlock()
+	for _, fn := range hooks {
+		fn()
+	}
+}
+
 // fires reports whether r fires at occurrence n (1-based).
 func (r *rule) fires(n uint64) bool {
 	switch {
@@ -123,6 +147,7 @@ func (i *Injector) Check(point string) error {
 	if i == nil {
 		return nil
 	}
+	i.runHooks(point)
 	err, _ := i.visit(point, nil)
 	return err
 }
@@ -136,6 +161,7 @@ func (i *Injector) CheckData(point string, buf []byte) error {
 	if i == nil {
 		return nil
 	}
+	i.runHooks(point)
 	err, _ := i.visit(point, buf)
 	return err
 }
@@ -185,7 +211,8 @@ func (i *Injector) Fired(point string) uint64 {
 	return i.fired[point]
 }
 
-// Clear removes all rules for point, keeping its visit count.
+// Clear removes all rules and Do actions for point, keeping its visit
+// count.
 func (i *Injector) Clear(point string) {
 	if i == nil {
 		return
@@ -193,9 +220,10 @@ func (i *Injector) Clear(point string) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	delete(i.rules, point)
+	delete(i.hooks, point)
 }
 
-// Reset removes every rule and zeroes every counter.
+// Reset removes every rule and Do action and zeroes every counter.
 func (i *Injector) Reset() {
 	if i == nil {
 		return
@@ -205,4 +233,5 @@ func (i *Injector) Reset() {
 	i.rules = make(map[string][]*rule)
 	i.counts = make(map[string]uint64)
 	i.fired = make(map[string]uint64)
+	i.hooks = nil
 }

@@ -154,3 +154,28 @@ func TestClearAndReset(t *testing.T) {
 		t.Fatal("Reset kept counts")
 	}
 }
+
+func TestDoRunsAtEveryVisitBeforeTheFault(t *testing.T) {
+	inj := New()
+	ran := 0
+	inj.Do("p", func() {
+		ran++
+		if inj.Count("p") != uint64(ran-1) {
+			t.Errorf("action %d ran after the visit was counted", ran)
+		}
+		inj.Check("q") // an action may visit fault points itself
+	})
+	inj.FailAt("p", errBoom, 2)
+	inj.Check("p")
+	if err := inj.CheckData("p", nil); !errors.Is(err, errBoom) {
+		t.Fatalf("second visit err = %v, want errBoom", err)
+	}
+	if ran != 2 || inj.Count("q") != 2 {
+		t.Fatalf("action ran %d times, visited q %d times, want 2 and 2", ran, inj.Count("q"))
+	}
+	inj.Clear("p")
+	inj.Check("p")
+	if ran != 2 {
+		t.Fatal("cleared action ran")
+	}
+}
