@@ -528,27 +528,6 @@ func BenchmarkThreshold(b *testing.B) {
 
 // ---- Extension benchmarks ----
 
-// BenchmarkPipeline compares sequential whole-batch execution with the
-// Sec. 5(2) streaming operator pipeline.
-func BenchmarkPipeline(b *testing.B) {
-	rng := rand.New(rand.NewSource(21))
-	m := nn.CacheFFNN(rng, 196)
-	x := data.Dense(22, 256, 196)
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m.Forward(x.Clone())
-		}
-	})
-	b.Run("pipelined", func(b *testing.B) {
-		p := udf.NewPipeline(m)
-		for i := 0; i < b.N; i++ {
-			if _, err := p.Run(x, 64); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkModelSerialization measures writing a model in the TBM1 format.
 func BenchmarkModelSerialization(b *testing.B) {
 	rng := rand.New(rand.NewSource(23))

@@ -384,6 +384,7 @@ func shellCommand(db *engine.DB, line string) bool {
 	case `\help`:
 		fmt.Println(`SQL: CREATE TABLE t (a INT, f VECTOR) | INSERT INTO t VALUES (1, [1,2]) |`)
 		fmt.Println(`     SELECT a, PREDICT(model, f) FROM t WHERE a > 0 ORDER BY a LIMIT 10 | DROP TABLE t`)
+		fmt.Println(`     SELECT a, DISTANCE(f, [1,2]) FROM t ORDER BY distance LIMIT 5`)
 		fmt.Println(`shell: \load <file.tbm>  \models  \tables  \explain <model> <batch>`)
 		fmt.Println(`       \lower <model> <batch>  \profile <select...>  \stats  \quit`)
 	case `\stats`:

@@ -75,7 +75,7 @@ func TestMNISTLikeLearnableStructure(t *testing.T) {
 	if d.X.Dim(1) != 12 || d.X.Dim(3) != 1 {
 		t.Fatalf("shape %v", d.X.Shape())
 	}
-	// Nearest-prototype structure: two samples of the same class must on
+	// Prototype structure: two samples of the same class must on
 	// average be closer than samples of different classes.
 	flat := d.FlatImages()
 	var within, between float64

@@ -153,65 +153,6 @@ func TestConcurrentDDLVsScans(t *testing.T) {
 	}
 }
 
-// TestDropPrunesVectorIndex is the stale-vindex regression: DROP TABLE must
-// remove the table's vector indexes, so a recreated table with the same
-// name never serves ANN results built over the old table's rows.
-func TestDropPrunesVectorIndex(t *testing.T) {
-	db := openDB(t, Options{})
-	schema, err := table.NewSchema(
-		table.Column{Name: "id", Type: table.Int64},
-		table.Column{Name: "v", Type: table.FloatVec},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.CreateTable("vecs", schema); err != nil {
-		t.Fatal(err)
-	}
-	oldRows := []table.Tuple{
-		{table.IntVal(1), table.VecVal([]float32{0, 0})},
-		{table.IntVal(2), table.VecVal([]float32{10, 10})},
-	}
-	if _, err := db.InsertRows("vecs", oldRows); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.CreateVectorIndex("vecs", "v"); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := db.Nearest("vecs", "v", []float32{1, 1}, 1); err != nil {
-		t.Fatal(err)
-	}
-
-	mustExec(t, db, "DROP TABLE vecs")
-
-	// Recreate the same name with different contents.
-	if _, err := db.CreateTable("vecs", schema); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.InsertRows("vecs", []table.Tuple{
-		{table.IntVal(100), table.VecVal([]float32{5, 5})},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// The old index must be gone — serving it would return RIDs into freed
-	// (and possibly reused) pages.
-	if _, _, err := db.Nearest("vecs", "v", []float32{1, 1}, 1); err == nil ||
-		!strings.Contains(err.Error(), "no vector index") {
-		t.Fatalf("Nearest after drop/recreate = %v, want missing-index error", err)
-	}
-	// A fresh index over the new rows works and sees only them.
-	if _, err := db.CreateVectorIndex("vecs", "v"); err != nil {
-		t.Fatal(err)
-	}
-	rows, _, err := db.Nearest("vecs", "v", []float32{1, 1}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 || rows[0][0].Int != 100 {
-		t.Fatalf("Nearest over recreated table = %v, want only the new row", rows)
-	}
-}
-
 // TestDropReclaimsPages is the page-leak regression: repeated create/fill/
 // drop cycles must not grow the database file, because DROP hands the heap
 // chain to the free list and new heaps reuse it.

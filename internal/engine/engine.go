@@ -130,10 +130,6 @@ type DB struct {
 	// per statement in deterministic order.
 	locks *lockmgr.Manager
 
-	// Vector indexes (Sec. 5), keyed by (table, column).
-	vmu      sync.Mutex
-	vindexes map[vindexKey]*vectorIndex
-
 	// Per-model inference-result caches (Sec. 5), present when
 	// Options.ResultCache is set.
 	cmu    sync.Mutex
@@ -154,7 +150,6 @@ type DB struct {
 	mQueries      *obs.Counter
 	mQueryErrors  *obs.Counter
 	mSlowQueries  *obs.Counter
-	mVindexStale  *obs.Counter
 	mQueryLatency *obs.Histogram
 	// mPredictQuantized counts PREDICTs served by an int8-resident twin.
 	mPredictQuantized *obs.Counter
@@ -287,7 +282,6 @@ func (db *DB) registerMetrics() {
 	db.mQueries = r.Counter("tensorbase_queries_total", "SQL statements executed")
 	db.mQueryErrors = r.Counter("tensorbase_query_errors_total", "SQL statements that returned an error")
 	db.mSlowQueries = r.Counter("tensorbase_slow_queries_total", "statements that crossed SlowQueryThreshold")
-	db.mVindexStale = r.Counter("tensorbase_vindex_stale_queries_total", "nearest-neighbour lookups served by a vector index missing newer rows")
 	db.mQueryLatency = r.Histogram("tensorbase_query_seconds", "statement wall time", obs.LatencyBuckets)
 	db.mPredictQuantized = r.Counter("tensorbase_predict_quantized_total", "PREDICTs served by an int8-resident quantized twin")
 
@@ -953,12 +947,11 @@ func lockRequest(st sql.Statement) lockmgr.Request {
 // execDrop removes a table and reclaims its storage. The caller holds the
 // DDL latch and the table's exclusive lock, so no writer is inside the
 // heap. Order: capture the page chain, log and commit the drop (a commit
-// failure leaves the table fully intact), unpublish the catalog entry and
-// prune vector indexes over the table (a recreated table must never serve
-// the old table's ANN rows), then drain the heap's read gate — lock-free
-// snapshot scans that started before the drop finish against the still-
-// allocated pages — and hand every page to the free list. A failure while
-// freeing leaks the remaining pages — a leak, never corruption.
+// failure leaves the table fully intact), unpublish the catalog entry,
+// then drain the heap's read gate — lock-free snapshot scans that started
+// before the drop finish against the still-allocated pages — and hand
+// every page to the free list. A failure while freeing leaks the remaining
+// pages — a leak, never corruption.
 func (db *DB) execDrop(name string) (*Result, error) {
 	te, err := db.cat.Table(name)
 	if err != nil {
@@ -982,13 +975,6 @@ func (db *DB) execDrop(name string) (*Result, error) {
 		db.abortCSN(csn)
 		return nil, err
 	}
-	db.vmu.Lock()
-	for key := range db.vindexes {
-		if key.table == name {
-			delete(db.vindexes, key)
-		}
-	}
-	db.vmu.Unlock()
 	db.publish(csn, []*wal.Record{rec})
 	// Wait out in-flight read statements before the pages change owners;
 	// readers arriving after the drain re-check the catalog and fail with

@@ -613,53 +613,6 @@ func TestConcurrentQueriesOverDistinctTables(t *testing.T) {
 	}
 }
 
-func TestVectorIndexNearest(t *testing.T) {
-	db := openDB(t, Options{})
-	mustExec(t, db, "CREATE TABLE docs (id INT, emb VECTOR)")
-	mustExec(t, db, "INSERT INTO docs VALUES (1, [0, 0]), (2, [10, 0]), (3, [0, 10]), (4, [10, 10])")
-	n, err := db.CreateVectorIndex("docs", "emb")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 4 {
-		t.Fatalf("indexed %d rows", n)
-	}
-	rows, dists, err := db.Nearest("docs", "emb", []float32{9, 1}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 || rows[0][0].Int != 2 {
-		t.Fatalf("nearest = %v", rows)
-	}
-	if dists[0] > dists[1] {
-		t.Fatal("distances not sorted")
-	}
-	if _, _, err := db.Nearest("docs", "emb", []float32{1}, 1); err == nil {
-		t.Fatal("wrong dimension must error")
-	}
-	if _, _, err := db.Nearest("docs", "ghost", []float32{1, 2}, 1); err == nil {
-		t.Fatal("unindexed column must error")
-	}
-}
-
-func TestVectorIndexValidation(t *testing.T) {
-	db := openDB(t, Options{})
-	mustExec(t, db, "CREATE TABLE v (id INT, emb VECTOR)")
-	if _, err := db.CreateVectorIndex("v", "emb"); err == nil {
-		t.Fatal("empty table must error")
-	}
-	if _, err := db.CreateVectorIndex("v", "id"); err == nil {
-		t.Fatal("non-vector column must error")
-	}
-	if _, err := db.CreateVectorIndex("ghost", "emb"); err == nil {
-		t.Fatal("missing table must error")
-	}
-	mustExec(t, db, "INSERT INTO v VALUES (1, [1, 2]), (2, [1, 2, 3])")
-	if _, err := db.CreateVectorIndex("v", "emb"); err == nil {
-		t.Fatal("ragged vectors must error")
-	}
-}
-
 func TestLowerPredictAndStats(t *testing.T) {
 	db := openDB(t, Options{MemoryThreshold: 1})
 	rng := rand.New(rand.NewSource(91))

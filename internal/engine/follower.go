@@ -17,7 +17,7 @@ import (
 // INSERT/CREATE/DROP, the programmatic twins, LoadModel — and is mutated
 // only through ApplyReplicated, which replays one published commit group
 // from the primary under the same WAL-then-publish protocol a local
-// statement uses. Reads are untouched: SELECT/PREDICT/Nearest serve
+// statement uses. Reads are untouched: SELECT and PREDICT serve
 // lock-free snapshots at the replica's applied CSN, exactly as on the
 // primary.
 
@@ -199,13 +199,6 @@ func (db *DB) ApplyReplicated(csn uint64, recs []*wal.Record, resync bool) error
 			if err := db.cat.DropTable(r.Table); err != nil {
 				return fmt.Errorf("engine: apply DROP %q: %w", r.Table, err)
 			}
-			db.vmu.Lock()
-			for key := range db.vindexes {
-				if key.table == r.Table {
-					delete(db.vindexes, key)
-				}
-			}
-			db.vmu.Unlock()
 			dropped = append(dropped, droppedHeap{te.Heap, pages})
 		case wal.RecBlock:
 			if _, err := db.blocks.PutStagedBytes(r.Data); err != nil {

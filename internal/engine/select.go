@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 
+	"tensorbase/internal/ann"
 	"tensorbase/internal/exec"
 	"tensorbase/internal/lifecycle"
 	"tensorbase/internal/sql"
@@ -65,15 +66,7 @@ func (db *DB) runSelect(st *sql.Select, profile bool, tok *lifecycle.Token) (*Re
 		src = exec.NewHeapLookupAt(te.Heap, key, snap)
 	}
 	exec.SetCancel(src, tok)
-	src = c.wrap("scan", src)
-	if profile {
-		// Surface observability warnings (e.g. a stale vector index over
-		// this table) on the scan stage of the profile.
-		for _, w := range db.staleVindexWarnings(st.From) {
-			c.stages[0].AddNote(w)
-		}
-	}
-	return c.run(st, src)
+	return c.run(st, c.wrap("scan", src))
 }
 
 // RunMemSelect evaluates a SELECT over an in-memory row set — the shard
@@ -163,14 +156,15 @@ func SplitSelect(st *sql.Select) (shard *sql.Select, merge func([]*Result) (*Res
 
 // Statement shapes the SELECT compiler refuses.
 var (
-	errPredictWithAggregate = errors.New("engine: PREDICT cannot be combined with aggregates")
-	errStarWithAggregate    = errors.New("engine: '*' cannot be combined with aggregates")
+	errPredictWithAggregate  = errors.New("engine: PREDICT cannot be combined with aggregates")
+	errDistanceWithAggregate = errors.New("engine: DISTANCE cannot be combined with aggregates")
+	errStarWithAggregate     = errors.New("engine: '*' cannot be combined with aggregates")
 )
 
 // compiler places the operators above a SELECT's source — filter →
-// aggregate → PREDICT → project → sort → limit — and runs them. The
-// statement checks live here alone. What differs between callers is
-// input, not a branch on the caller.
+// aggregate → PREDICT → DISTANCE → project → sort → limit — and runs
+// them. The statement checks live here alone. What differs between
+// callers is input, not a branch on the caller.
 type compiler struct {
 	tok  *lifecycle.Token    // every cancellation-aware operator observes it
 	pool *storage.BufferPool // ORDER BY spills through it; nil sorts in memory
@@ -234,6 +228,17 @@ func (c *compiler) run(st *sql.Select, op exec.Operator) (*Result, []exec.StageS
 		op = c.wrap("predict", infer)
 	}
 
+	dist, err := distanceItem(st)
+	if err != nil {
+		return nil, nil, err
+	}
+	if dist != nil {
+		if op, err = distanceOp(op, dist); err != nil {
+			return nil, nil, err
+		}
+		op = c.wrap("distance", op)
+	}
+
 	// Projection.
 	var cols []string
 	star := false
@@ -243,6 +248,8 @@ func (c *compiler) run(st *sql.Select, op exec.Operator) (*Result, []exec.StageS
 			star = true
 		case item.Predict != nil:
 			cols = append(cols, "prediction")
+		case item.Distance != nil:
+			cols = append(cols, "distance")
 		case item.Agg != nil:
 			cols = append(cols, item.Agg.OutName())
 		default:
@@ -296,16 +303,57 @@ func (c *compiler) run(st *sql.Select, op exec.Operator) (*Result, []exec.StageS
 // predictItem returns st's PREDICT, or nil when it has none. At most one
 // PREDICT per query; it appends a "prediction" column.
 func predictItem(st *sql.Select) (*sql.PredictExpr, error) {
-	var predict *sql.PredictExpr
+	return onlyItem(st, "PREDICT", func(it sql.SelectItem) *sql.PredictExpr { return it.Predict })
+}
+
+// distanceItem returns st's DISTANCE, or nil when it has none. At most one
+// DISTANCE per query; it appends a "distance" column.
+func distanceItem(st *sql.Select) (*sql.DistanceExpr, error) {
+	return onlyItem(st, "DISTANCE", func(it sql.SelectItem) *sql.DistanceExpr { return it.Distance })
+}
+
+// onlyItem returns the select item of st that pick finds, or nil when
+// there is none; a second one is an error naming kind.
+func onlyItem[T any](st *sql.Select, kind string, pick func(sql.SelectItem) *T) (*T, error) {
+	var found *T
 	for _, item := range st.Items {
-		if item.Predict != nil {
-			if predict != nil {
-				return nil, fmt.Errorf("engine: at most one PREDICT per query")
+		if p := pick(item); p != nil {
+			if found != nil {
+				return nil, fmt.Errorf("engine: at most one %s per query", kind)
 			}
-			predict = item.Predict
+			found = p
 		}
 	}
-	return predict, nil
+	return found, nil
+}
+
+// distanceOp appends a FLOAT "distance" column to in's rows: the squared
+// L2 distance from d's column to its literal, summed in float64 in element
+// order. A row whose vector has another dimension fails the statement.
+func distanceOp(in exec.Operator, d *sql.DistanceExpr) (exec.Operator, error) {
+	schema := in.Schema()
+	idx := schema.ColIndex(d.Col)
+	if idx < 0 {
+		return nil, fmt.Errorf("engine: unknown column %q", d.Col)
+	}
+	if t := schema.Cols[idx].Type; t != table.FloatVec {
+		return nil, fmt.Errorf("engine: DISTANCE column %q is %v, want VECTOR", d.Col, t)
+	}
+	// A full slice expression makes append copy: in's schema is shared.
+	n := len(schema.Cols)
+	out, err := table.NewSchema(append(schema.Cols[:n:n], table.Column{Name: "distance", Type: table.Float64})...)
+	if err != nil {
+		return nil, err
+	}
+	return exec.NewMap(in, out, func(t table.Tuple) (table.Tuple, error) {
+		v := t[idx].Vec
+		if len(v) != len(d.Vec) {
+			return nil, fmt.Errorf("engine: DISTANCE(%s): row vector has dimension %d, literal has %d", d.Col, len(v), len(d.Vec))
+		}
+		row := make(table.Tuple, len(t), len(t)+1)
+		copy(row, t)
+		return append(row, table.FloatVal(ann.SquaredL2(v, d.Vec))), nil
+	}), nil
 }
 
 // aggregateSpecs checks an aggregating SELECT's items and derives its
@@ -318,6 +366,12 @@ func aggregateSpecs(st *sql.Select) (groupBy []string, specs []exec.AggSpec, err
 		return nil, nil, err
 	case p != nil:
 		return nil, nil, errPredictWithAggregate
+	}
+	switch d, err := distanceItem(st); {
+	case err != nil:
+		return nil, nil, err
+	case d != nil:
+		return nil, nil, errDistanceWithAggregate
 	}
 	if st.GroupBy != "" {
 		groupBy = []string{st.GroupBy}

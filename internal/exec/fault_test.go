@@ -185,3 +185,44 @@ func TestHeapLookupCancelledMidStream(t *testing.T) {
 		t.Fatalf("stage note %q", note)
 	}
 }
+
+// closeCounter is an input whose Next fails after n rows and which counts
+// its Closes.
+type closeCounter struct {
+	failingScan
+	closes int
+}
+
+func (c *closeCounter) Close() error { c.closes++; return nil }
+
+// TestCollectClosesFailedOpen: a pipeline breaker whose input fails inside
+// Open releases that input through one rule, Collect's Close, exactly once
+// — a second Close would release a PREDICT's compute token twice.
+func TestCollectClosesFailedOpen(t *testing.T) {
+	breakers := map[string]func(in Operator) (Operator, error){
+		"aggregate": func(in Operator) (Operator, error) {
+			return NewHashAggregate(in, []string{"id"}, []AggSpec{{Kind: Count, As: "n"}})
+		},
+		"partitioned aggregate": func(in Operator) (Operator, error) {
+			return NewPartitionedAggregate(in, []string{"id"}, []AggSpec{{Kind: Count, As: "n"}}, 1)
+		},
+		"sort": func(in Operator) (Operator, error) { return NewSort(in, "id", false, -1, nil) },
+		"topk": func(in Operator) (Operator, error) { return NewSort(in, "id", false, 3, nil) },
+		"hash join": func(in Operator) (Operator, error) {
+			return NewHashJoin(NewMemScan(intsSchema(), nil), in, "id", "id")
+		},
+	}
+	for name, build := range breakers {
+		in := &closeCounter{failingScan: failingScan{schema: intsSchema(), n: 5}}
+		op, err := build(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Collect(op); err == nil || !strings.Contains(err.Error(), "input died") {
+			t.Fatalf("%s: err = %v, want the input's error", name, err)
+		}
+		if in.closes != 1 {
+			t.Fatalf("%s: input closed %d times, want 1", name, in.closes)
+		}
+	}
+}

@@ -30,10 +30,6 @@ type Instrumented struct {
 	poolStart storage.PoolStats
 	poolEnd   storage.PoolStats
 	closed    bool
-
-	// notes are engine-attached annotations (e.g. a stale-vector-index
-	// warning) surfaced alongside the operator's own StageNote.
-	notes []string
 }
 
 // Instrument wraps op under a display name.
@@ -48,10 +44,6 @@ func (i *Instrumented) WithPool(p *storage.BufferPool) *Instrumented {
 	i.pool = p
 	return i
 }
-
-// AddNote appends an engine-provided annotation to the stage (rendered
-// after the operator's own StageNote).
-func (i *Instrumented) AddNote(note string) { i.notes = append(i.notes, note) }
 
 // Name returns the display name.
 func (i *Instrumented) Name() string { return i.name }
@@ -124,17 +116,12 @@ type StageReporter interface {
 	ReportStage(s *StageStat)
 }
 
-// Note returns the wrapped operator's stage note plus any engine-attached
-// annotations.
+// Note returns the wrapped operator's stage note, if it has one.
 func (i *Instrumented) Note() string {
-	var parts []string
 	if n, ok := i.in.(Noter); ok {
-		if s := n.StageNote(); s != "" {
-			parts = append(parts, s)
-		}
+		return n.StageNote()
 	}
-	parts = append(parts, i.notes...)
-	return strings.Join(parts, "; ")
+	return ""
 }
 
 // StageStat is one row of a query profile — a per-operator span. Elapsed

@@ -6,6 +6,7 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 
 	"tensorbase/internal/lifecycle"
@@ -56,12 +57,15 @@ func SetCancel(op Operator, tok *lifecycle.Token) {
 	}
 }
 
-// Collect drains op into a slice, handling Open/Close. A Close error after
-// a clean iteration is returned — an operator whose teardown fails (e.g. a
-// spill-file flush) must not report success.
+// Collect drains op into a slice, handling Open/Close. Close runs however
+// the drain ends, a failed Open included, so a pipeline breaker whose input
+// loop fails still releases its inputs (a PREDICT's producer goroutine and
+// compute token, a sort's spilled runs) through its own Close. A Close
+// error after a clean iteration is returned — an operator whose teardown
+// fails (e.g. a spill-file flush) must not report success.
 func Collect(op Operator) ([]table.Tuple, error) {
 	if err := op.Open(); err != nil {
-		return nil, err
+		return nil, errors.Join(err, op.Close())
 	}
 	var out []table.Tuple
 	for {

@@ -76,9 +76,10 @@ func (s *Sort) Schema() *table.Schema { return s.in.Schema() }
 func (s *Sort) SetCancel(tok *lifecycle.Token) { s.tok = tok }
 
 // Open implements Operator: it drains the input into the top-k heap, the
-// in-memory run, or sorted spill runs, and prepares the output. On error
-// it frees the runs it spilled and closes its input.
-func (s *Sort) Open() (err error) {
+// in-memory run, or sorted spill runs, and prepares the output. An Open
+// that fails leaves its runs and its input to Close, which Collect calls
+// however the drain ends.
+func (s *Sort) Open() error {
 	if s.RunRows < 1 {
 		return fmt.Errorf("exec: sort run size %d < 1", s.RunRows)
 	}
@@ -92,14 +93,6 @@ func (s *Sort) Open() (err error) {
 	if topk {
 		s.merge.items = make([]mergeItem, 0, s.limit)
 	}
-	defer func() {
-		// Nothing Closes an operator whose Open failed, so release what
-		// this one holds: its spilled runs, and its input, which may be a
-		// PREDICT holding a producer goroutine and a compute token.
-		if err != nil {
-			err = errors.Join(err, s.freeRuns(), s.in.Close())
-		}
-	}()
 	var buf []table.Tuple
 	for seq := 0; ; seq++ {
 		if err := s.tok.Err(); err != nil {

@@ -10,8 +10,8 @@ import (
 	"tensorbase/internal/testutil"
 )
 
-// layerByLayer runs every layer on its own, as udf.Pipeline, core's
-// executor and training do: no Linear+ReLU fusion.
+// layerByLayer runs every layer on its own, as core's executor and
+// training do: no Linear+ReLU fusion.
 func layerByLayer(m *Model, x *tensor.Tensor) *tensor.Tensor {
 	for _, l := range m.Layers {
 		x = l.Forward(x)

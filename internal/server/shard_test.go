@@ -46,15 +46,7 @@ func newShardedServer(t *testing.T, shards, rows int) (*httptest.Server, *Server
 	if qr, code := post(t, ts.URL, "", "CREATE TABLE demo (id INT, f VECTOR)"); code != http.StatusOK {
 		t.Fatalf("create: %d %+v", code, qr)
 	}
-	var b strings.Builder
-	b.WriteString("INSERT INTO demo VALUES ")
-	for i := 0; i < rows; i++ {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(&b, "(%d, [%d, %d, %d, %d])", i, i, i%5, (i*3)%7, 1+i%2)
-	}
-	if qr, code := post(t, ts.URL, "", b.String()); code != http.StatusOK {
+	if qr, code := post(t, ts.URL, "", demoInsert(rows)); code != http.StatusOK {
 		t.Fatalf("insert: %d %+v", code, qr)
 	}
 	m, err := nn.NewModel("demo-fc", []int{1, 4}, nn.NewLinear(rand.New(rand.NewSource(5)), 4, 1))
@@ -65,6 +57,20 @@ func newShardedServer(t *testing.T, shards, rows int) (*httptest.Server, *Server
 		t.Fatal(err)
 	}
 	return ts, srv, cl
+}
+
+// demoInsert is the INSERT that seeds demo with rows rows:
+// (i, [i, i%5, (i*3)%7, 1+i%2]).
+func demoInsert(rows int) string {
+	var b strings.Builder
+	b.WriteString("INSERT INTO demo VALUES ")
+	for i := 0; i < rows; i++ {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "(%d, [%d, %d, %d, %d])", i, i, i%5, (i*3)%7, 1+i%2)
+	}
+	return b.String()
 }
 
 // laggingNode is a shard whose engine never reaches a session's floor:

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -344,71 +343,8 @@ func (c *Cluster) selectCTE(ctx context.Context, st *sql.Select, sess *Session) 
 	return engine.RunMemSelect(&outer, inner.Schema, inner.Rows)
 }
 
-// Nearest scatters a top-k vector search and merges by distance: the
-// gathered candidates (each shard's local top-k, sorted ascending) merge
-// into the global top-k. Ties keep shard order, then shard-local order —
-// a deterministic total order under any fault schedule.
-func (c *Cluster) Nearest(ctx context.Context, tbl, col string, query []float32, k int, sess *Session) ([]table.Tuple, []float64, error) {
-	c.scattered.Add(1)
-	type part struct {
-		schema *table.Schema
-		rows   []table.Tuple
-		dists  []float64
-	}
-	parts := make([]part, len(c.nodes))
-	err := c.fanOut(func(i int, n Node) error {
-		s, rows, dists, err := n.Nearest(ctx, tbl, col, query, k, sess.floor(i))
-		parts[i] = part{s, rows, dists}
-		return err
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	type cand struct {
-		shard, pos int
-	}
-	var all []cand
-	for i, p := range parts {
-		for j := range p.rows {
-			all = append(all, cand{i, j})
-		}
-	}
-	sort.SliceStable(all, func(a, b int) bool {
-		return parts[all[a].shard].dists[all[a].pos] < parts[all[b].shard].dists[all[b].pos]
-	})
-	if len(all) > k {
-		all = all[:k]
-	}
-	rows := make([]table.Tuple, len(all))
-	dists := make([]float64, len(all))
-	for i, cd := range all {
-		rows[i] = parts[cd.shard].rows[cd.pos]
-		dists[i] = parts[cd.shard].dists[cd.pos]
-	}
-	return rows, dists, nil
-}
-
 // LoadModel broadcasts a model to every shard, so pushed-down PREDICT
 // subplans run next to their slice of the data.
 func (c *Cluster) LoadModel(m *nn.Model, accuracy float64) error {
 	return c.fanOut(func(_ int, n Node) error { return n.LoadModel(m, accuracy) })
-}
-
-// CreateVectorIndex broadcasts an ANN index build and returns the total
-// indexed row count.
-func (c *Cluster) CreateVectorIndex(tbl, col string) (int, error) {
-	counts := make([]int, len(c.nodes))
-	err := c.fanOut(func(i int, n Node) error {
-		var err error
-		counts[i], err = n.CreateVectorIndex(tbl, col)
-		return err
-	})
-	if err != nil {
-		return 0, err
-	}
-	total := 0
-	for _, k := range counts {
-		total += k
-	}
-	return total, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -64,9 +65,6 @@ func newRefEngine(t *testing.T, rows int) *engine.DB {
 	if err := db.LoadModel(testModel(), 0.9); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.CreateVectorIndex("tx", "f"); err != nil {
-		t.Fatal(err)
-	}
 	return db
 }
 
@@ -86,9 +84,6 @@ func newTestCluster(t *testing.T, shards, rows int) *Cluster {
 		}
 	}
 	if err := cl.LoadModel(testModel(), 0.9); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.CreateVectorIndex("tx", "f"); err != nil {
 		t.Fatal(err)
 	}
 	return cl
@@ -117,10 +112,19 @@ func mustEqualResults(t *testing.T, query string, want, got *engine.Result) {
 	}
 }
 
+// distQuery is the DISTANCE literal of the matrix. Over seedSQL's rows its
+// distances are all distinct (TestScatterMatchesSingleNode checks), so
+// ORDER BY distance has one answer however the shards split the rows.
+var distQuery = []float32{5.3, 3.1, 2.7, 4.15}
+
+// distItem is the DISTANCE select item over distQuery.
+const distItem = "DISTANCE(f, [5.3, 3.1, 2.7, 4.15])"
+
 // matrixQueries is the scatter-vs-single-node identity matrix: plain and
 // filtered scans, ordered scans with pushed limits, global and grouped
-// aggregates, PREDICT push-down, CTEs, and pinned point reads — including
-// the comment/CTE/parenthesized forms the read classifier must route.
+// aggregates, PREDICT push-down, DISTANCE top-k, CTEs, and pinned point
+// reads — including the comment/CTE/parenthesized forms the read
+// classifier must route.
 var matrixQueries = []string{
 	"SELECT id, amount, who FROM tx ORDER BY id",
 	"SELECT id, amount FROM tx WHERE amount > 10 ORDER BY id DESC",
@@ -141,6 +145,13 @@ var matrixQueries = []string{
 	"SELECT MIN(id), MAX(id) FROM tx WHERE amount > 3",
 	"SELECT COUNT(*) FROM tx WHERE id < 0",
 	"SELECT id FROM tx ORDER BY id LIMIT 0",
+	"SELECT id, " + distItem + " FROM tx ORDER BY distance",
+	"SELECT id, who, " + distItem + " FROM tx ORDER BY distance LIMIT 5",
+	"SELECT id, " + distItem + " FROM tx WHERE amount > 6 ORDER BY distance DESC LIMIT 4",
+	"SELECT id, " + distItem + " FROM tx WHERE amount < 12 ORDER BY id",
+	"SELECT id, " + distItem + " FROM tx WHERE id = 7",
+	"SELECT id, PREDICT(m4, f), " + distItem + " FROM tx ORDER BY distance LIMIT 3",
+	"WITH b AS (SELECT id, f FROM tx WHERE id < 20) SELECT id, " + distItem + " FROM b ORDER BY distance LIMIT 3",
 }
 
 func TestScatterMatchesSingleNode(t *testing.T) {
@@ -193,27 +204,27 @@ func TestScatterMatchesSingleNode(t *testing.T) {
 				}
 			}
 
-			// Nearest: the shards' local top-k merge to the global top-k.
-			query := []float32{5, 3, 2, 4}
-			wantRows, wantDists, err := ref.Nearest("tx", "f", query, 3)
+			// DISTANCE is a float64 loop over the stored vector, bit for
+			// bit, and strictly ascending: the matrix's distances are
+			// distinct, so no ORDER BY distance above depended on a tie.
+			res, err := cl.Exec(context.Background(), "SELECT f, "+distItem+" FROM tx ORDER BY distance", sess)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotRows, gotDists, err := cl.Nearest(context.Background(), "tx", "f", query, 3, sess)
-			if err != nil {
-				t.Fatal(err)
+			if len(res.Rows) != rows {
+				t.Fatalf("DISTANCE over every row: %d rows, want %d", len(res.Rows), rows)
 			}
-			if len(gotRows) != len(wantRows) {
-				t.Fatalf("nearest: %d rows, want %d", len(gotRows), len(wantRows))
-			}
-			for i := range wantRows {
-				if gotDists[i] != wantDists[i] {
-					t.Fatalf("nearest %d: dist %v != %v", i, gotDists[i], wantDists[i])
+			for i, r := range res.Rows {
+				var want float64
+				for j, v := range r[0].Vec {
+					d := float64(v) - float64(distQuery[j])
+					want += d * d
 				}
-				for j := range wantRows[i] {
-					if !wantRows[i][j].Equal(gotRows[i][j]) {
-						t.Fatalf("nearest row %d col %d: %v != %v", i, j, gotRows[i][j], wantRows[i][j])
-					}
+				if math.Float64bits(r[1].Float) != math.Float64bits(want) {
+					t.Fatalf("row %d: distance %v, float64 loop %v", i, r[1].Float, want)
+				}
+				if i > 0 && !(res.Rows[i-1][1].Float < r[1].Float) {
+					t.Fatalf("rows %d and %d: distances %v, %v are not strictly ascending", i-1, i, res.Rows[i-1][1].Float, r[1].Float)
 				}
 			}
 		})
@@ -236,6 +247,12 @@ var errorParityQueries = []string{
 	"WITH b AS (SELECT id, who FROM tx) SELECT id FROM b ORDER BY nope",
 	"SELECT id FROM nope",
 	"SELECT COUNT(*) FROM nope",
+	"SELECT id, DISTANCE(nope, [1, 2, 3, 4]) FROM tx ORDER BY distance LIMIT 3",
+	"SELECT id, DISTANCE(who, [1, 2, 3, 4]) FROM tx",
+	"SELECT id, DISTANCE(f, []) FROM tx",
+	"SELECT id, DISTANCE(f, [1, 2, 3]) FROM tx ORDER BY distance LIMIT 3",
+	"SELECT COUNT(*), DISTANCE(f, [1, 2, 3, 4]) FROM tx",
+	"WITH b AS (SELECT id, f FROM tx) SELECT id, DISTANCE(f, [1, 2]) FROM b",
 }
 
 func TestScatterErrorsMatchSingleNode(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 
 	"tensorbase/internal/engine"
 	"tensorbase/internal/nn"
-	"tensorbase/internal/table"
 )
 
 // Node is one shard's serving endpoint, local or remote. floor is the
@@ -26,16 +25,8 @@ type Node interface {
 	// node's committed CSN afterwards — the session's new floor.
 	Exec(ctx context.Context, sqlText string) (*engine.Result, uint64, error)
 
-	// Nearest runs a vector top-k search on this shard's slice of tbl,
-	// returning the table schema alongside the rows and distances (sorted
-	// ascending) so callers can merge without a catalog round-trip.
-	Nearest(ctx context.Context, tbl, col string, query []float32, k int, floor uint64) (*table.Schema, []table.Tuple, []float64, error)
-
 	// LoadModel registers (or upgrades) a model on this shard.
 	LoadModel(m *nn.Model, accuracy float64) error
-
-	// CreateVectorIndex builds an ANN index over tbl.col on this shard.
-	CreateVectorIndex(tbl, col string) (int, error)
 
 	// Healthy reports whether the node is believed reachable.
 	Healthy() bool
@@ -164,29 +155,6 @@ func (n *LocalNode) Exec(ctx context.Context, sqlText string) (*engine.Result, u
 	return res, db.CommittedCSN(), nil
 }
 
-// Nearest implements Node.
-func (n *LocalNode) Nearest(ctx context.Context, tbl, col string, query []float32, k int, floor uint64) (*table.Schema, []table.Tuple, []float64, error) {
-	db, err := n.live()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if err := db.CheckFloor(floor); err != nil {
-		return nil, nil, nil, err
-	}
-	rows, dists, err := db.Nearest(tbl, col, query, k)
-	if err != nil {
-		if !n.alive.Load() {
-			return nil, nil, nil, fmt.Errorf("%w: %s died mid-search: %v", ErrUnavailable, n.name, err)
-		}
-		return nil, nil, nil, err
-	}
-	te, err := db.Catalog().Table(tbl)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return te.Heap.Schema(), rows, dists, nil
-}
-
 // LoadModel implements Node.
 func (n *LocalNode) LoadModel(m *nn.Model, accuracy float64) error {
 	db, err := n.live()
@@ -194,13 +162,4 @@ func (n *LocalNode) LoadModel(m *nn.Model, accuracy float64) error {
 		return err
 	}
 	return db.LoadModel(m, accuracy)
-}
-
-// CreateVectorIndex implements Node.
-func (n *LocalNode) CreateVectorIndex(tbl, col string) (int, error) {
-	db, err := n.live()
-	if err != nil {
-		return 0, err
-	}
-	return db.CreateVectorIndex(tbl, col)
 }

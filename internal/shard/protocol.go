@@ -24,16 +24,13 @@ import (
 const (
 	reqQuery byte = iota + 1
 	reqExec
-	reqNearest
 	reqLoadModel
-	reqVIndex
 )
 
 // Response kinds (first payload byte).
 const (
 	respSchema byte = iota + 1
 	respRows
-	respDists
 	respDone
 	respErr
 )
@@ -180,100 +177,11 @@ func encodeExecReq(sqlText string) []byte {
 	return append([]byte{reqExec}, sqlText...)
 }
 
-// encodeNearestReq builds a reqNearest payload.
-func encodeNearestReq(tbl, col string, query []float32, k int, floor uint64) []byte {
-	buf := []byte{reqNearest}
-	buf = binary.LittleEndian.AppendUint64(buf, floor)
-	buf = wire.AppendBytes(buf, []byte(tbl))
-	buf = wire.AppendBytes(buf, []byte(col))
-	buf = binary.AppendUvarint(buf, uint64(k))
-	buf = binary.AppendUvarint(buf, uint64(len(query)))
-	for _, f := range query {
-		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(f))
-	}
-	return buf
-}
-
-func decodeNearestReq(buf []byte) (tbl, col string, query []float32, k int, floor uint64, err error) {
-	if len(buf) < 8 {
-		return "", "", nil, 0, 0, errors.New("shard: truncated nearest request")
-	}
-	floor = binary.LittleEndian.Uint64(buf)
-	buf = buf[8:]
-	tb, buf, err := wire.ReadBytes(buf)
-	if err != nil {
-		return "", "", nil, 0, 0, err
-	}
-	cb, buf, err := wire.ReadBytes(buf)
-	if err != nil {
-		return "", "", nil, 0, 0, err
-	}
-	ku, sz := binary.Uvarint(buf)
-	if sz <= 0 || ku > 1<<20 {
-		return "", "", nil, 0, 0, errors.New("shard: bad k")
-	}
-	buf = buf[sz:]
-	// Division form: 4*dim wraps for a hostile dim.
-	dim, sz := binary.Uvarint(buf)
-	if rest := uint64(len(buf) - sz); sz <= 0 || rest%4 != 0 || rest/4 != dim {
-		return "", "", nil, 0, 0, errors.New("shard: bad query vector")
-	}
-	buf = buf[sz:]
-	query = make([]float32, dim)
-	for i := range query {
-		query[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
-	}
-	return string(tb), string(cb), query, int(ku), floor, nil
-}
-
-// encodeDistsFrame carries Nearest distances, parallel to the preceding
-// rows frames.
-func encodeDistsFrame(dists []float64) []byte {
-	buf := []byte{respDists}
-	buf = binary.AppendUvarint(buf, uint64(len(dists)))
-	for _, d := range dists {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(d))
-	}
-	return buf
-}
-
-func decodeDistsFrame(buf []byte) ([]float64, error) {
-	n, sz := binary.Uvarint(buf)
-	if rest := uint64(len(buf) - sz); sz <= 0 || rest%8 != 0 || rest/8 != n {
-		return nil, errors.New("shard: bad distances frame")
-	}
-	buf = buf[sz:]
-	dists := make([]float64, n)
-	for i := range dists {
-		dists[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-	}
-	return dists, nil
-}
-
 // encodeLoadModelReq ships a serialised model plus its accuracy.
 func encodeLoadModelReq(blob []byte, accuracy float64) []byte {
 	buf := []byte{reqLoadModel}
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(accuracy))
 	return append(buf, blob...)
-}
-
-// encodeVIndexReq requests an ANN index build.
-func encodeVIndexReq(tbl, col string) []byte {
-	buf := []byte{reqVIndex}
-	buf = wire.AppendBytes(buf, []byte(tbl))
-	return wire.AppendBytes(buf, []byte(col))
-}
-
-func decodeVIndexReq(buf []byte) (tbl, col string, err error) {
-	tb, buf, err := wire.ReadBytes(buf)
-	if err != nil {
-		return "", "", err
-	}
-	cb, _, err := wire.ReadBytes(buf)
-	if err != nil {
-		return "", "", err
-	}
-	return string(tb), string(cb), nil
 }
 
 // splitKind pops the request/response kind byte.

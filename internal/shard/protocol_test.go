@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -10,33 +11,6 @@ import (
 	"tensorbase/internal/engine"
 	"tensorbase/internal/table"
 )
-
-// wrappingNearest is a 20-byte nearest request body — floor, empty table,
-// empty column, k=0, dim=1<<62 — and wrappingDists a distances body with
-// n=1<<61. 4*dim and 8*n both wrap to zero, matching the empty tails.
-func wrappingNearest() []byte {
-	b := binary.LittleEndian.AppendUint64(nil, 0)
-	b = append(b, 0, 0, 0)
-	return binary.AppendUvarint(b, 1<<62)
-}
-
-func wrappingDists() []byte { return binary.AppendUvarint(nil, 1<<61) }
-
-// TestDecodeRejectsWrappingLengths is the regression for length checks
-// that multiplied an attacker-chosen count: the wrapped product passed, the
-// decoder's make() panicked, and the whole shard server exited with it.
-func TestDecodeRejectsWrappingLengths(t *testing.T) {
-	nearest := wrappingNearest()
-	if len(nearest) != 20 {
-		t.Fatalf("nearest body is %d bytes, want 20", len(nearest))
-	}
-	if _, _, _, _, _, err := decodeNearestReq(nearest); err == nil {
-		t.Fatal("nearest request with dim 1<<62 and no vector decoded cleanly")
-	}
-	if _, err := decodeDistsFrame(wrappingDists()); err == nil {
-		t.Fatal("distances frame with n 1<<61 and no payload decoded cleanly")
-	}
-}
 
 func fuzzSchema() *table.Schema {
 	s, err := table.NewSchema(
@@ -76,33 +50,12 @@ func FuzzShardDecode(f *testing.F) {
 			}
 			return enc[1:], nil
 		},
-		"dists": func(b []byte) ([]byte, error) {
-			d, err := decodeDistsFrame(b)
-			if err != nil {
-				return nil, err
-			}
-			return encodeDistsFrame(d)[1:], nil
-		},
 		"done": func(b []byte) ([]byte, error) {
 			rows, committed, err := decodeDone(b)
 			if err != nil {
 				return nil, err
 			}
 			return encodeDone(rows, committed)[1:], nil
-		},
-		"nearest": func(b []byte) ([]byte, error) {
-			tbl, col, query, k, floor, err := decodeNearestReq(b)
-			if err != nil {
-				return nil, err
-			}
-			return encodeNearestReq(tbl, col, query, k, floor)[1:], nil
-		},
-		"vindex": func(b []byte) ([]byte, error) {
-			tbl, col, err := decodeVIndexReq(b)
-			if err != nil {
-				return nil, err
-			}
-			return encodeVIndexReq(tbl, col)[1:], nil
 		},
 	}
 
@@ -115,15 +68,22 @@ func FuzzShardDecode(f *testing.F) {
 	}
 	f.Add(encodeSchema(nil, schema))
 	f.Add(rows[1:])
-	f.Add(encodeDistsFrame([]float64{0.5, math.Inf(1), 3})[1:])
 	f.Add(encodeDone(12, 56)[1:])
 	f.Add(encodeErr(fmt.Errorf("%w: shard-2 down", ErrUnavailable))[1:])
 	f.Add(encodeErr(engine.ErrLag)[1:])
-	f.Add(encodeNearestReq("tx", "f", []float32{0.25, -1}, 5, 9)[1:])
-	f.Add(encodeVIndexReq("tx", "f")[1:])
-	f.Add(wrappingNearest())
-	f.Add(wrappingDists())
 	f.Add([]byte{})
+	// Edges of the remaining decoders: an empty rows frame, a row count
+	// past rowsPerFrame, a row whose record is cut short, extreme done
+	// values, and a generic error's text.
+	empty, err := encodeRowsFrame(schema, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(empty[1:])
+	f.Add(binary.AppendUvarint(nil, rowsPerFrame+1))
+	f.Add(rows[1 : len(rows)-3])
+	f.Add(encodeDone(-1, math.MaxUint64)[1:])
+	f.Add(encodeErr(errors.New(`catalog: no table "nope"`))[1:])
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		for name, recode := range recoders {

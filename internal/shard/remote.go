@@ -43,7 +43,6 @@ func (n *RemoteNode) Healthy() bool { return true }
 type wireResp struct {
 	schema       *table.Schema
 	rows         []table.Tuple
-	dists        []float64
 	rowsAffected int64
 	committedCSN uint64
 }
@@ -94,12 +93,6 @@ func (n *RemoteNode) attempt(ctx context.Context, req []byte) (resp *wireResp, a
 				return nil, nil, err
 			}
 			r.rows = append(r.rows, rows...)
-		case respDists:
-			d, err := decodeDistsFrame(body)
-			if err != nil {
-				return nil, nil, err
-			}
-			r.dists = append(r.dists, d...)
 		case respDone:
 			r.rowsAffected, r.committedCSN, err = decodeDone(body)
 			if err != nil {
@@ -157,21 +150,6 @@ func (n *RemoteNode) Exec(ctx context.Context, sqlText string) (*engine.Result, 
 	return &engine.Result{RowsAffected: resp.rowsAffected}, resp.committedCSN, nil
 }
 
-// Nearest implements Node.
-func (n *RemoteNode) Nearest(ctx context.Context, tbl, col string, query []float32, k int, floor uint64) (*table.Schema, []table.Tuple, []float64, error) {
-	resp, err := n.roundTrip(ctx, encodeNearestReq(tbl, col, query, k, floor), true)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if resp.schema == nil {
-		return nil, nil, nil, fmt.Errorf("shard: %s returned no schema", n.name)
-	}
-	if len(resp.rows) != len(resp.dists) {
-		return nil, nil, nil, fmt.Errorf("shard: %s returned %d rows, %d distances", n.name, len(resp.rows), len(resp.dists))
-	}
-	return resp.schema, resp.rows, resp.dists, nil
-}
-
 // LoadModel implements Node.
 func (n *RemoteNode) LoadModel(m *nn.Model, accuracy float64) error {
 	var buf bytes.Buffer
@@ -180,13 +158,4 @@ func (n *RemoteNode) LoadModel(m *nn.Model, accuracy float64) error {
 	}
 	_, err := n.roundTrip(context.Background(), encodeLoadModelReq(buf.Bytes(), accuracy), false)
 	return err
-}
-
-// CreateVectorIndex implements Node.
-func (n *RemoteNode) CreateVectorIndex(tbl, col string) (int, error) {
-	resp, err := n.roundTrip(context.Background(), encodeVIndexReq(tbl, col), false)
-	if err != nil {
-		return 0, err
-	}
-	return int(resp.rowsAffected), nil
 }

@@ -54,9 +54,6 @@ func newRemoteCluster(t *testing.T, n, rows int, links []*fault.Link) *Cluster {
 	if err := cl.LoadModel(testModel(), 0.9); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.CreateVectorIndex("tx", "f"); err != nil {
-		t.Fatal(err)
-	}
 	return cl
 }
 
@@ -90,13 +87,6 @@ func TestRemoteScatterUnderFaults(t *testing.T) {
 					t.Fatalf("cluster %s: %v", q, err)
 				}
 				mustEqualResults(t, q, want, got)
-			}
-			gotRows, _, err := cl.Nearest(context.Background(), "tx", "f", []float32{5, 3, 2, 4}, 3, sess)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(gotRows) != 3 {
-				t.Fatalf("nearest under faults returned %d rows", len(gotRows))
 			}
 			dropped := links[0].Dropped() + links[1].Dropped()
 			if dropped == 0 {

@@ -119,28 +119,6 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		fc.Send(encodeDone(res.RowsAffected, committed))
 
-	case reqNearest:
-		tbl, col, query, k, floor, err := decodeNearestReq(body)
-		if err != nil {
-			fc.Send(encodeErr(err))
-			return
-		}
-		schema, rows, dists, err := s.node.Nearest(ctx, tbl, col, query, k, floor)
-		if err != nil {
-			fc.Send(encodeErr(err))
-			return
-		}
-		if fc.Send(encodeSchema([]byte{respSchema}, schema)) != nil {
-			return
-		}
-		if !sendRows(fc, schema, rows) {
-			return
-		}
-		if fc.Send(encodeDistsFrame(dists)) != nil {
-			return
-		}
-		fc.Send(encodeDone(int64(len(rows)), 0))
-
 	case reqLoadModel:
 		if len(body) < 8 {
 			return
@@ -156,18 +134,5 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 		fc.Send(encodeDone(0, 0))
-
-	case reqVIndex:
-		tbl, col, err := decodeVIndexReq(body)
-		if err != nil {
-			fc.Send(encodeErr(err))
-			return
-		}
-		n, err := s.node.CreateVectorIndex(tbl, col)
-		if err != nil {
-			fc.Send(encodeErr(err))
-			return
-		}
-		fc.Send(encodeDone(int64(n), 0))
 	}
 }

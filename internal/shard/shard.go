@@ -8,7 +8,7 @@
 //     one shard (the pinned fast path, counted separately from scatters);
 //   - any other read scatters: engine.SplitSelect gives the statement every
 //     shard runs and the merge that combines their results through the
-//     engine's own SELECT compiler (Nearest merges its top-k by distance);
+//     engine's own SELECT compiler;
 //   - an INSERT splits its rows by key hash, DDL and model loads broadcast.
 //
 // Remote traffic runs over wire.FrameConn, so every response stream is

@@ -194,6 +194,7 @@ func TestRenderRoundTrip(t *testing.T) {
 		"SELECT a, b FROM t WHERE a >= 1.5 ORDER BY b DESC LIMIT 10",
 		"SELECT who, COUNT(*), SUM(amount) FROM txns GROUP BY who",
 		"SELECT id, PREDICT(Fraud-FC-32, features) OPTIONS (quantized) FROM txns",
+		"SELECT id, DISTANCE(f, [0.1, -2.5, 3e-07]) FROM t WHERE id > 2 ORDER BY distance DESC LIMIT 5",
 		"WITH big AS (SELECT a FROM t WHERE a > 5) SELECT a FROM big LIMIT 3",
 		"INSERT INTO t VALUES (1, -2.5, 'it''s', [1.5, -3]), (2, 1e-12, '', [])",
 		"CREATE TABLE t (a INT, b DOUBLE, c TEXT, d VECTOR)",
@@ -227,6 +228,16 @@ func TestRenderRoundTrip(t *testing.T) {
 	if row[1].Value.Float != 0.1 {
 		t.Fatalf("0.1 round-tripped to %+v", row[1].Value)
 	}
+	// DISTANCE's vector keeps every float32 bit.
+	q := []float32{0.1, -3.4028235e38, 1e-45, 16777217}
+	st, _ = Parse(Render(&Select{Items: []SelectItem{{Distance: &DistanceExpr{Col: "f", Vec: q}}}, From: "t", Limit: -1}))
+	got := st.(*Select).Items[0].Distance.Vec
+	for i := range q {
+		if got[i] != q[i] {
+			t.Fatalf("DISTANCE element %d round-tripped to %v, want %v", i, got[i], q[i])
+		}
+	}
+	st, _ = Parse("INSERT INTO t VALUES (2.0, 0.1)")
 	if !strings.Contains(Render(st), "2.0") {
 		t.Fatalf("render = %q", Render(st))
 	}

@@ -1,7 +1,8 @@
 // Package sql implements the SQL subset the engine speaks: CREATE TABLE,
-// INSERT, and SELECT with filtering, LIMIT, and the PREDICT(model, column)
+// INSERT, and SELECT with filtering, LIMIT, the PREDICT(model, column)
 // inference function that nests model inference inside a query — the query
-// surface the paper's applications (fraud scoring, recommendation) use.
+// surface the paper's applications (fraud scoring, recommendation) use —
+// and DISTANCE(column, [v, ...]), which makes vector retrieval a SELECT.
 package sql
 
 import (

@@ -57,13 +57,22 @@ func (a *AggExpr) OutName() string {
 	return strings.ToLower(a.Fn) + "_" + a.Col
 }
 
-// SelectItem is one projection item: `*`, a column, an aggregate, or
-// PREDICT(...).
+// DistanceExpr is `DISTANCE(col, [v, ...])`: the squared L2 distance
+// between a VECTOR column and a non-empty constant vector, output as a
+// FLOAT column named `distance`.
+type DistanceExpr struct {
+	Col string
+	Vec []float32
+}
+
+// SelectItem is one projection item: `*`, a column, an aggregate,
+// PREDICT(...), or DISTANCE(...).
 type SelectItem struct {
-	Star    bool
-	Col     string
-	Predict *PredictExpr
-	Agg     *AggExpr
+	Star     bool
+	Col      string
+	Predict  *PredictExpr
+	Agg      *AggExpr
+	Distance *DistanceExpr
 }
 
 // Condition is a simple comparison `col op literal`.
@@ -541,6 +550,30 @@ func (p *parser) selectItem() (SelectItem, error) {
 			}
 		}
 		return SelectItem{Predict: pe}, nil
+	}
+	if strings.EqualFold(id.text, "DISTANCE") && p.at(tokPunct, "(") {
+		p.pos++
+		col, err := p.expect(tokIdent, "")
+		if err != nil {
+			return SelectItem{}, err
+		}
+		if _, err := p.expect(tokPunct, ","); err != nil {
+			return SelectItem{}, err
+		}
+		if !p.at(tokPunct, "[") {
+			return SelectItem{}, p.errf("DISTANCE needs a vector literal, found %q", p.cur().text)
+		}
+		lit, err := p.literal()
+		if err != nil {
+			return SelectItem{}, err
+		}
+		if len(lit.Value.Vec) == 0 {
+			return SelectItem{}, p.errf("DISTANCE needs a non-empty vector")
+		}
+		if _, err := p.expect(tokPunct, ")"); err != nil {
+			return SelectItem{}, err
+		}
+		return SelectItem{Distance: &DistanceExpr{Col: col.text, Vec: lit.Value.Vec}}, nil
 	}
 	return SelectItem{Col: id.text}, nil
 }

@@ -86,6 +86,12 @@ func renderSelect(sb *strings.Builder, s *Select) {
 			if it.Predict.Quantized {
 				sb.WriteString(" OPTIONS (quantized)")
 			}
+		case it.Distance != nil:
+			sb.WriteString("DISTANCE(")
+			sb.WriteString(it.Distance.Col)
+			sb.WriteString(", ")
+			sb.WriteString(RenderLiteral(Literal{Value: table.VecVal(it.Distance.Vec)}))
+			sb.WriteByte(')')
 		case it.Agg != nil:
 			sb.WriteString(it.Agg.Fn)
 			sb.WriteByte('(')

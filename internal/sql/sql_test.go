@@ -155,6 +155,32 @@ func TestParseSelectPredictOptions(t *testing.T) {
 	}
 }
 
+func TestParseSelectDistance(t *testing.T) {
+	sel := parseSelect(t, "SELECT id, distance(f, [1, -2.5, 3e-2]) FROM t ORDER BY distance LIMIT 5")
+	d := sel.Items[1].Distance
+	if d == nil || d.Col != "f" || len(d.Vec) != 3 || d.Vec[1] != -2.5 || d.Vec[2] != float32(3e-2) {
+		t.Fatalf("distance = %+v", d)
+	}
+	if sel.OrderBy != "distance" || sel.Limit != 5 {
+		t.Fatalf("%+v", sel)
+	}
+	// A column named distance stays a column.
+	if sel := parseSelect(t, "SELECT distance FROM t"); sel.Items[0].Col != "distance" {
+		t.Fatalf("items = %+v", sel.Items)
+	}
+	for _, bad := range []string{
+		"SELECT DISTANCE(f, []) FROM t",
+		"SELECT DISTANCE(f, 3) FROM t",
+		"SELECT DISTANCE(f) FROM t",
+		"SELECT DISTANCE([1], f) FROM t",
+		"SELECT DISTANCE(f, [1] FROM t",
+	} {
+		if _, err := Parse(bad); err == nil {
+			t.Fatalf("Parse(%q) should fail", bad)
+		}
+	}
+}
+
 func TestParseSelectCaseInsensitiveKeywords(t *testing.T) {
 	sel := parseSelect(t, "select id from t where id != 3 limit 1")
 	if sel.Where.Op != "!=" {
