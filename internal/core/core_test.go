@@ -325,52 +325,59 @@ func featureSchema(sim, vec string) *table.Schema {
 }
 
 func TestPushdownMatchesNaivePlan(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	const f1, f2 = 12, 8
-	d1 := featureTable(rng, 40, f1, 3)
-	d2 := featureTable(rng, 40, f2, 3)
-	model := nn.MustModel("pd", []int{1, f1 + f2},
-		nn.NewLinear(rng, f1+f2, 16), nn.ReLU{},
-		nn.NewLinear(rng, 16, 2), nn.Softmax{},
-	)
-	q := &FeatureJoinQuery{
-		Left:    exec.NewMemScan(featureSchema("s1", "v1"), d1),
-		Right:   exec.NewMemScan(featureSchema("s2", "v2"), d2),
-		LeftSim: "s1", RightSim: "s2",
-		LeftVec: "v1", RightVec: "v2",
-		Eps:   0.05,
-		Model: model,
-	}
-	naive, err := q.BuildNaive()
-	if err != nil {
-		t.Fatal(err)
-	}
-	nrows, err := exec.Collect(naive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pd, err := q.BuildPushdown()
-	if err != nil {
-		t.Fatal(err)
-	}
-	prows, err := exec.Collect(pd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(nrows) != len(prows) {
-		t.Fatalf("row counts differ: naive %d, pushdown %d", len(nrows), len(prows))
-	}
-	if len(nrows) == 0 {
-		t.Fatal("test produced no join matches; widen eps")
-	}
-	// Both plans end with a prediction column; compare as multisets of
-	// prediction vectors rendered to strings.
-	np := predictionSet(t, nrows)
-	pp := predictionSet(t, prows)
-	for i := range np {
-		if np[i] != pp[i] {
-			t.Fatalf("prediction %d differs:\n%s\n%s", i, np[i], pp[i])
-		}
+	// Right-side column names: distinct from the left's, one that shares
+	// the vector's name as a prefix, and the left's own names, which the
+	// join renames.
+	for _, right := range [][2]string{{"s2", "v2"}, {"v2_s", "v2"}, {"s1", "v1"}} {
+		t.Run(right[0]+","+right[1], func(t *testing.T) {
+			rng := rand.New(rand.NewSource(14))
+			const f1, f2 = 12, 8
+			d1 := featureTable(rng, 40, f1, 3)
+			d2 := featureTable(rng, 40, f2, 3)
+			model := nn.MustModel("pd", []int{1, f1 + f2},
+				nn.NewLinear(rng, f1+f2, 16), nn.ReLU{},
+				nn.NewLinear(rng, 16, 2), nn.Softmax{},
+			)
+			q := &FeatureJoinQuery{
+				Left:    exec.NewMemScan(featureSchema("s1", "v1"), d1),
+				Right:   exec.NewMemScan(featureSchema(right[0], right[1]), d2),
+				LeftSim: "s1", RightSim: right[0],
+				LeftVec: "v1", RightVec: right[1],
+				Eps:   0.05,
+				Model: model,
+			}
+			naive, err := q.BuildNaive()
+			if err != nil {
+				t.Fatal(err)
+			}
+			nrows, err := exec.Collect(naive)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pd, err := q.BuildPushdown()
+			if err != nil {
+				t.Fatal(err)
+			}
+			prows, err := exec.Collect(pd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(nrows) != len(prows) {
+				t.Fatalf("row counts differ: naive %d, pushdown %d", len(nrows), len(prows))
+			}
+			if len(nrows) == 0 {
+				t.Fatal("test produced no join matches; widen eps")
+			}
+			// Both plans end with a prediction column; compare as multisets of
+			// prediction vectors rendered to strings.
+			np := predictionSet(t, nrows)
+			pp := predictionSet(t, prows)
+			for i := range np {
+				if np[i] != pp[i] {
+					t.Fatalf("prediction %d differs:\n%s\n%s", i, np[i], pp[i])
+				}
+			}
+		})
 	}
 }
 

@@ -80,14 +80,15 @@ func (q *FeatureJoinQuery) BuildNaive() (exec.Operator, error) {
 	if err != nil {
 		return nil, err
 	}
-	li := join.Schema().ColIndex(q.LeftVec)
-	ri, err := rightVecIndex(join.Schema(), q.Left.Schema(), q.RightVec)
-	if err != nil {
-		return nil, err
-	}
+	// The join's columns are the left side's, then the right side's.
+	li, ri := q.Left.Schema().ColIndex(q.LeftVec), q.Right.Schema().ColIndex(q.RightVec)
 	if li < 0 {
 		return nil, fmt.Errorf("core: unknown feature column %q", q.LeftVec)
 	}
+	if ri < 0 {
+		return nil, fmt.Errorf("core: unknown feature column %q", q.RightVec)
+	}
+	ri += q.Left.Schema().Len()
 	concatSchema := table.MustSchema(table.Column{Name: "features", Type: table.FloatVec})
 	concat := exec.NewMap(join, concatSchema, func(t table.Tuple) (table.Tuple, error) {
 		l, r := t[li].Vec, t[ri].Vec
@@ -135,13 +136,9 @@ func (q *FeatureJoinQuery) BuildPushdown() (exec.Operator, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The join output has the left side's "prediction" column and the
-	// right side's disambiguated one.
-	lp := join.Schema().ColIndex("prediction")
-	rp, err := rightVecIndex(join.Schema(), leftPartial.Schema(), "prediction")
-	if err != nil {
-		return nil, err
-	}
+	// Each partial's prediction is its last column, so in the join output
+	// the left one ends the left side's columns and the right one ends all.
+	lp, rp := leftPartial.Schema().Len()-1, join.Schema().Len()-1
 
 	hiddenSchema := table.MustSchema(table.Column{Name: "hidden", Type: table.FloatVec})
 	sum := exec.NewMap(join, hiddenSchema, func(t table.Tuple) (table.Tuple, error) {
@@ -161,19 +158,6 @@ func (q *FeatureJoinQuery) BuildPushdown() (exec.Operator, error) {
 		return nil, err
 	}
 	return udf.NewInferOp(sum, udf.NewModelUDF(tail, q.Budget), "hidden", q.batch())
-}
-
-// rightVecIndex finds the post-join index of the right side's column named
-// base, accounting for Concat's collision renaming.
-func rightVecIndex(joined, left *table.Schema, base string) (int, error) {
-	// Right-side columns start after the left side's.
-	for i := left.Len(); i < joined.Len(); i++ {
-		name := joined.Cols[i].Name
-		if name == base || (len(name) > len(base) && name[:len(base)] == base && name[len(base)] == '_') {
-			return i, nil
-		}
-	}
-	return -1, fmt.Errorf("core: right-side column %q not found in join output", base)
 }
 
 // vecWidthHint peeks at the operator's first tuple to learn the feature

@@ -120,7 +120,7 @@ func TestDistanceRefusals(t *testing.T) {
 		{"SELECT DISTANCE(emb, [1, 2]) FROM v GROUP BY id", "DISTANCE cannot be combined with aggregates"},
 		{"SELECT DISTANCE(emb, [1, 2]), DISTANCE(emb, [0, 0]) FROM v", "at most one DISTANCE per query"},
 		{"SELECT id FROM v ORDER BY distance", `unknown column "distance"`},
-		{"SELECT DISTANCE(emb, [1, 2]) FROM d", `duplicate column "distance"`},
+		{"SELECT DISTANCE(emb, [1, 2]) FROM d", `ambiguous column "distance"`},
 	} {
 		_, err := db.Query(tc.sql)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -87,7 +87,13 @@ func RunMemSelect(st *sql.Select, schema *table.Schema, rows []table.Tuple) (*Re
 // re-applies the LIMIT. An aggregate pushes partials: COUNT/SUM/MIN/MAX as
 // they are, AVG as SUM+COUNT, each distinct partial once. The merge combines
 // them by group, then runs the query's projection, ORDER BY and LIMIT.
-func SplitSelect(st *sql.Select) (shard *sql.Select, merge func([]*Result) (*Result, error), err error) {
+// schema is the table's: the select list is checked against it here, as
+// the compiler checks it, so the cluster refuses in a single node's words.
+func SplitSelect(st *sql.Select, schema *table.Schema) (shard *sql.Select, merge func([]*Result) (*Result, error), err error) {
+	list, err := checkSelect(st, schema)
+	if err != nil {
+		return nil, nil, err
+	}
 	shard = st
 	outer := &sql.Select{Items: []sql.SelectItem{{Star: true}}, Limit: st.Limit}
 	combine := func(ins []exec.Operator) (exec.Operator, error) {
@@ -96,13 +102,9 @@ func SplitSelect(st *sql.Select) (shard *sql.Select, merge func([]*Result) (*Res
 		}
 		return exec.NewConcat(ins...)
 	}
-	if st.GroupBy != "" || st.HasAggregate() {
-		groupBy, specs, err := aggregateSpecs(st)
-		if err != nil {
-			return nil, nil, err
-		}
+	if list.agg {
 		shard = &sql.Select{From: st.From, Where: st.Where, GroupBy: st.GroupBy, Limit: -1}
-		for _, g := range groupBy {
+		for _, g := range list.groupBy {
 			shard.Items = append(shard.Items, sql.SelectItem{Col: g})
 		}
 		index := make(map[string]int)
@@ -116,8 +118,8 @@ func SplitSelect(st *sql.Select) (shard *sql.Select, merge func([]*Result) (*Res
 			}
 			return i
 		}
-		finals := make([]exec.FinalAgg, len(specs))
-		for i, sp := range specs {
+		finals := make([]exec.FinalAgg, len(list.specs))
+		for i, sp := range list.specs {
 			finals[i] = exec.FinalAgg{Kind: sp.Kind, As: sp.As}
 			switch sp.Kind {
 			case exec.Count:
@@ -129,15 +131,11 @@ func SplitSelect(st *sql.Select) (shard *sql.Select, merge func([]*Result) (*Res
 			}
 		}
 		outer = &sql.Select{OrderBy: st.OrderBy, OrderDesc: st.OrderDesc, Limit: st.Limit}
-		for _, item := range st.Items {
-			col := item.Col
-			if item.Agg != nil {
-				col = item.Agg.OutName()
-			}
+		for _, col := range list.cols {
 			outer.Items = append(outer.Items, sql.SelectItem{Col: col})
 		}
 		combine = func(ins []exec.Operator) (exec.Operator, error) {
-			return exec.NewMergeAggregate(ins, len(groupBy), finals)
+			return exec.NewMergeAggregate(ins, len(list.groupBy), finals)
 		}
 	}
 	return shard, func(parts []*Result) (*Result, error) {
@@ -156,9 +154,12 @@ func SplitSelect(st *sql.Select) (shard *sql.Select, merge func([]*Result) (*Res
 
 // Statement shapes the SELECT compiler refuses.
 var (
+	errTwoPredicts           = errors.New("engine: at most one PREDICT per query")
+	errTwoDistances          = errors.New("engine: at most one DISTANCE per query")
 	errPredictWithAggregate  = errors.New("engine: PREDICT cannot be combined with aggregates")
 	errDistanceWithAggregate = errors.New("engine: DISTANCE cannot be combined with aggregates")
 	errStarWithAggregate     = errors.New("engine: '*' cannot be combined with aggregates")
+	errStarWithItems         = errors.New("engine: '*' cannot be combined with other select items")
 )
 
 // compiler places the operators above a SELECT's source — filter →
@@ -189,6 +190,10 @@ func (c *compiler) wrap(name string, op exec.Operator) exec.Operator {
 
 // run compiles st over op, its source, and collects the result.
 func (c *compiler) run(st *sql.Select, op exec.Operator) (*Result, []exec.StageStat, error) {
+	list, err := checkSelect(st, op.Schema())
+	if err != nil {
+		return nil, nil, err
+	}
 	if st.Where != nil {
 		pred, err := compileWhere(op.Schema(), st.Where)
 		if err != nil {
@@ -197,19 +202,10 @@ func (c *compiler) run(st *sql.Select, op exec.Operator) (*Result, []exec.StageS
 		op = c.wrap("filter", exec.NewFilter(op, pred))
 	}
 
-	predict, err := predictItem(st)
-	if err != nil {
-		return nil, nil, err
-	}
-
 	// Aggregation: COUNT/SUM/AVG/MIN/MAX with an optional single GROUP BY
 	// column. GROUP BY without aggregates is DISTINCT over the group column.
-	if st.GroupBy != "" || st.HasAggregate() {
-		groupBy, specs, err := aggregateSpecs(st)
-		if err != nil {
-			return nil, nil, err
-		}
-		agg, err := exec.NewHashAggregate(op, groupBy, specs)
+	if list.agg {
+		agg, err := exec.NewHashAggregate(op, list.groupBy, list.specs)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -217,51 +213,27 @@ func (c *compiler) run(st *sql.Select, op exec.Operator) (*Result, []exec.StageS
 		op = c.wrap("aggregate", agg)
 	}
 
-	if predict != nil {
+	if list.predict != nil {
 		if c.predict == nil {
 			return nil, nil, fmt.Errorf("engine: PREDICT is not supported over gathered rows")
 		}
-		infer, err := c.predict(op, predict, c.tok)
+		infer, err := c.predict(op, list.predict, c.tok)
 		if err != nil {
 			return nil, nil, err
 		}
 		op = c.wrap("predict", infer)
 	}
 
-	dist, err := distanceItem(st)
-	if err != nil {
-		return nil, nil, err
-	}
-	if dist != nil {
-		if op, err = distanceOp(op, dist); err != nil {
+	if list.dist != nil {
+		if op, err = distanceOp(op, list.dist); err != nil {
 			return nil, nil, err
 		}
-		op = c.wrap("distance", op)
+		// The stage is named after the column it adds.
+		op = c.wrap(list.dist.OutName(), op)
 	}
 
-	// Projection.
-	var cols []string
-	star := false
-	for _, item := range st.Items {
-		switch {
-		case item.Star:
-			star = true
-		case item.Predict != nil:
-			cols = append(cols, "prediction")
-		case item.Distance != nil:
-			cols = append(cols, "distance")
-		case item.Agg != nil:
-			cols = append(cols, item.Agg.OutName())
-		default:
-			cols = append(cols, item.Col)
-		}
-	}
-	if star {
-		if len(st.Items) != 1 {
-			return nil, nil, fmt.Errorf("engine: '*' cannot be combined with other select items")
-		}
-	} else {
-		proj, err := exec.NewProject(op, cols...)
+	if list.cols != nil {
+		proj, err := exec.NewProject(op, list.cols...)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -300,35 +272,96 @@ func (c *compiler) run(st *sql.Select, op exec.Operator) (*Result, []exec.StageS
 	return &Result{Schema: op.Schema(), Rows: rows}, exec.Profile(stages), nil
 }
 
-// predictItem returns st's PREDICT, or nil when it has none. At most one
-// PREDICT per query; it appends a "prediction" column.
-func predictItem(st *sql.Select) (*sql.PredictExpr, error) {
-	return onlyItem(st, "PREDICT", func(it sql.SelectItem) *sql.PredictExpr { return it.Predict })
+// selectList is a checked select list: the computed items the compiler
+// places and the output columns it projects.
+type selectList struct {
+	predict *sql.PredictExpr
+	dist    *sql.DistanceExpr
+	agg     bool // GROUP BY or an aggregate item: the rows are groups
+	groupBy []string
+	specs   []exec.AggSpec
+	cols    []string // output columns in order, by OutName; nil for `*`
 }
 
-// distanceItem returns st's DISTANCE, or nil when it has none. At most one
-// DISTANCE per query; it appends a "distance" column.
-func distanceItem(st *sql.Select) (*sql.DistanceExpr, error) {
-	return onlyItem(st, "DISTANCE", func(it sql.SelectItem) *sql.DistanceExpr { return it.Distance })
-}
-
-// onlyItem returns the select item of st that pick finds, or nil when
-// there is none; a second one is an error naming kind.
-func onlyItem[T any](st *sql.Select, kind string, pick func(sql.SelectItem) *T) (*T, error) {
-	var found *T
+// checkSelect names and checks st's select list against src, the schema of
+// the rows it reads. It runs once per statement, before any operator is
+// built; the compiler and SplitSelect both call it, so a single node, a
+// replica and a cluster refuse the same statements in the same words.
+//
+// Besides the shape checks, it refuses a name used twice. A computed
+// column (PREDICT, DISTANCE, an aggregate) is added to the source's row,
+// or to a group's under aggregation, so its name must be new there; and no
+// two output columns may share a name.
+func checkSelect(st *sql.Select, src *table.Schema) (*selectList, error) {
+	list := &selectList{agg: st.GroupBy != "" || st.HasAggregate()}
+	if st.GroupBy != "" {
+		list.groupBy = []string{st.GroupBy}
+	}
+	var predicts, distances int
+	var star bool
+	var itemErr error // the first item an aggregating SELECT cannot output
 	for _, item := range st.Items {
-		if p := pick(item); p != nil {
-			if found != nil {
-				return nil, fmt.Errorf("engine: at most one %s per query", kind)
+		switch {
+		case item.Star:
+			star = true
+			if list.agg && itemErr == nil {
+				itemErr = errStarWithAggregate
 			}
-			found = p
+			continue
+		case item.Predict != nil:
+			predicts++
+			list.predict = item.Predict
+		case item.Distance != nil:
+			distances++
+			list.dist = item.Distance
+		case item.Agg != nil:
+			kind, ok := aggKinds[item.Agg.Fn]
+			if !ok && itemErr == nil {
+				itemErr = fmt.Errorf("engine: unknown aggregate %q", item.Agg.Fn)
+			}
+			list.specs = append(list.specs, exec.AggSpec{Kind: kind, Col: item.Agg.Col, As: item.Agg.OutName()})
+		case list.agg && item.Col != st.GroupBy && itemErr == nil:
+			itemErr = fmt.Errorf("engine: column %q must appear in GROUP BY", item.Col)
+		}
+		list.cols = append(list.cols, item.OutName())
+	}
+	switch {
+	case predicts > 1:
+		return nil, errTwoPredicts
+	case list.agg && list.predict != nil:
+		return nil, errPredictWithAggregate
+	case distances > 1:
+		return nil, errTwoDistances
+	case list.agg && list.dist != nil:
+		return nil, errDistanceWithAggregate
+	case itemErr != nil:
+		return nil, itemErr
+	case star && len(st.Items) != 1:
+		return nil, errStarWithItems
+	}
+
+	row := make(map[string]bool)
+	if list.agg {
+		row[st.GroupBy] = true
+	} else {
+		for _, c := range src.Cols {
+			row[c.Name] = true
 		}
 	}
-	return found, nil
+	out := make(map[string]bool, len(list.cols))
+	for _, item := range st.Items {
+		name := item.OutName()
+		computed := item.Predict != nil || item.Distance != nil || item.Agg != nil
+		if out[name] || computed && row[name] {
+			return nil, fmt.Errorf("engine: ambiguous column %q: the select list or its source names it twice", name)
+		}
+		out[name], row[name] = true, true
+	}
+	return list, nil
 }
 
-// distanceOp appends a FLOAT "distance" column to in's rows: the squared
-// L2 distance from d's column to its literal, summed in float64 in element
+// distanceOp appends d's FLOAT column to in's rows: the squared L2
+// distance from d's column to its literal, summed in float64 in element
 // order. A row whose vector has another dimension fails the statement.
 func distanceOp(in exec.Operator, d *sql.DistanceExpr) (exec.Operator, error) {
 	schema := in.Schema()
@@ -339,9 +372,7 @@ func distanceOp(in exec.Operator, d *sql.DistanceExpr) (exec.Operator, error) {
 	if t := schema.Cols[idx].Type; t != table.FloatVec {
 		return nil, fmt.Errorf("engine: DISTANCE column %q is %v, want VECTOR", d.Col, t)
 	}
-	// A full slice expression makes append copy: in's schema is shared.
-	n := len(schema.Cols)
-	out, err := table.NewSchema(append(schema.Cols[:n:n], table.Column{Name: "distance", Type: table.Float64})...)
+	out, err := schema.Append(table.Column{Name: d.OutName(), Type: table.Float64})
 	if err != nil {
 		return nil, err
 	}
@@ -354,45 +385,6 @@ func distanceOp(in exec.Operator, d *sql.DistanceExpr) (exec.Operator, error) {
 		copy(row, t)
 		return append(row, table.FloatVal(ann.SquaredL2(v, d.Vec))), nil
 	}), nil
-}
-
-// aggregateSpecs checks an aggregating SELECT's items and derives its
-// group column and aggregate specs. The compiler and SplitSelect both call
-// it, so a single node and a cluster refuse the same statements in the
-// same words.
-func aggregateSpecs(st *sql.Select) (groupBy []string, specs []exec.AggSpec, err error) {
-	switch p, err := predictItem(st); {
-	case err != nil:
-		return nil, nil, err
-	case p != nil:
-		return nil, nil, errPredictWithAggregate
-	}
-	switch d, err := distanceItem(st); {
-	case err != nil:
-		return nil, nil, err
-	case d != nil:
-		return nil, nil, errDistanceWithAggregate
-	}
-	if st.GroupBy != "" {
-		groupBy = []string{st.GroupBy}
-	}
-	for _, item := range st.Items {
-		if item.Agg == nil {
-			if item.Star {
-				return nil, nil, errStarWithAggregate
-			}
-			if item.Col != st.GroupBy {
-				return nil, nil, fmt.Errorf("engine: column %q must appear in GROUP BY", item.Col)
-			}
-			continue
-		}
-		kind, ok := aggKinds[item.Agg.Fn]
-		if !ok {
-			return nil, nil, fmt.Errorf("engine: unknown aggregate %q", item.Agg.Fn)
-		}
-		specs = append(specs, exec.AggSpec{Kind: kind, Col: item.Agg.Col, As: item.Agg.OutName()})
-	}
-	return groupBy, specs, nil
 }
 
 // predictOp builds the inference operator for one PREDICT over in.

@@ -171,6 +171,10 @@ func SetDefault(b *Budget) *Budget {
 	return defaultBudget.Swap(b)
 }
 
+// failedHook runs after a worker has marked a pool run failed, before it
+// returns. Tests set it to make that moment observable.
+var failedHook = func() {}
+
 // Run executes task(i) for every i in [0, n) using the caller's goroutine
 // plus workers-1 spawned ones, handing out indices dynamically so uneven
 // tasks balance. The caller is responsible for sizing workers against a
@@ -235,6 +239,7 @@ func RunCancel(tok *lifecycle.Token, workers, n int, task func(i int) error) err
 			if err := runTask(i); err != nil {
 				errOnce.Do(func() { firstErr = err })
 				failed.Store(true)
+				failedHook()
 				return
 			}
 		}

@@ -183,19 +183,26 @@ func TestRunCoversAllIndicesOnce(t *testing.T) {
 
 func TestRunReturnsFirstErrorAndStops(t *testing.T) {
 	boom := errors.New("boom")
+	// Tasks 0-2 hold their workers until task 3's worker has marked the
+	// run failed, so the fourth worker takes task 3 and no worker can take
+	// a fifth task before the stop is visible.
+	stopped := make(chan struct{})
+	failedHook = func() { close(stopped) }
+	defer func() { failedHook = func() {} }()
 	var ran atomic.Int32
 	err := Run(4, 1000, func(i int) error {
 		ran.Add(1)
 		if i == 3 {
 			return boom
 		}
+		<-stopped
 		return nil
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	if ran.Load() == 1000 {
-		t.Fatal("error did not stop remaining work")
+	if n := ran.Load(); n != 4 {
+		t.Fatalf("%d tasks ran: error did not stop remaining work after the 4 in flight", n)
 	}
 }
 

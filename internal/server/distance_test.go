@@ -2,6 +2,7 @@ package server
 
 import (
 	"math"
+	"math/rand"
 	"net"
 	"net/http"
 	"path/filepath"
@@ -10,13 +11,16 @@ import (
 	"time"
 
 	"tensorbase/internal/engine"
+	"tensorbase/internal/nn"
 	"tensorbase/internal/repl"
 )
 
 // TestDistanceOverHTTP: a DISTANCE top-k answers the same rows, with the
 // same distance bits, from a log-shipping replica behind the Router and
 // from a 4-shard cluster, and those bits are a float64 loop's. Each
-// malformed DISTANCE is a 400 carrying the same error text on both.
+// malformed DISTANCE, and each PREDICT or DISTANCE over table p whose
+// stored columns have the computed names, is a 400 carrying the same error
+// text on both.
 func TestDistanceOverHTTP(t *testing.T) {
 	const rows = 32
 	// The sharded server seeds demo (id INT, f VECTOR) with
@@ -52,8 +56,25 @@ func TestDistanceOverHTTP(t *testing.T) {
 	srv.Attach(mux)
 	replicated := newLocalServer(t, mux)
 
-	for _, stmt := range []string{"CREATE TABLE demo (id INT, f VECTOR)", demoInsert(rows)} {
+	// The sharded server's model; the replica receives it from the log.
+	m, err := nn.NewModel("demo-fc", []int{1, 4}, nn.NewLinear(rand.New(rand.NewSource(5)), 4, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pdb.LoadModel(m, 0.9); err != nil {
+		t.Fatal(err)
+	}
+	clash := []string{
+		"CREATE TABLE p (id INT, prediction DOUBLE, distance DOUBLE, f VECTOR)",
+		"INSERT INTO p VALUES (0, 42, 42, [1, 2, 3, 4]), (1, 42, 42, [2, 3, 4, 5])",
+	}
+	for _, stmt := range append([]string{"CREATE TABLE demo (id INT, f VECTOR)", demoInsert(rows)}, clash...) {
 		if qr, code := post(t, replicated, "", stmt); code != http.StatusOK {
+			t.Fatalf("%.40s: %d %+v", stmt, code, qr)
+		}
+	}
+	for _, stmt := range clash {
+		if qr, code := post(t, sharded.URL, "", stmt); code != http.StatusOK {
 			t.Fatalf("%.40s: %d %+v", stmt, code, qr)
 		}
 	}
@@ -99,6 +120,10 @@ func TestDistanceOverHTTP(t *testing.T) {
 		"SELECT id, DISTANCE(f, []) FROM demo",
 		"SELECT id, DISTANCE(f, [1, 2]) FROM demo ORDER BY distance LIMIT 3",
 		"SELECT COUNT(*), DISTANCE(f, [1, 2, 3, 4]) FROM demo",
+		"SELECT id, PREDICT(demo-fc, f) FROM p",
+		"SELECT PREDICT(demo-fc, f) FROM p ORDER BY prediction",
+		"SELECT id, DISTANCE(f, [1, 2, 3, 4]) FROM p",
+		"WITH b AS (SELECT id, prediction, f FROM p) SELECT id, PREDICT(demo-fc, f) FROM b",
 	} {
 		single, code := post(t, replicated, "", bad)
 		if code != http.StatusBadRequest || single.Error == "" {

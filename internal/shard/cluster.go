@@ -307,7 +307,7 @@ func (c *Cluster) Select(ctx context.Context, st *sql.Select, sess *Session) (*e
 		// single node would.
 	}
 	c.scattered.Add(1)
-	frag, merge, err := engine.SplitSelect(st)
+	frag, merge, err := engine.SplitSelect(st, info.Schema)
 	if err != nil {
 		return nil, err
 	}

@@ -233,7 +233,8 @@ func TestScatterMatchesSingleNode(t *testing.T) {
 
 // errorParityQueries are statements a single node refuses. The cluster
 // must refuse each one too, in the single node's words, whichever of the
-// scatter or coordinator paths plans it.
+// scatter or coordinator paths plans it. Table p (clashSQL) stores columns
+// named like computed ones, so a computed column would clash with them.
 var errorParityQueries = []string{
 	"WITH b AS (SELECT id, f FROM tx) SELECT * FROM b ORDER BY f",
 	"SELECT f, COUNT(*) FROM tx GROUP BY f ORDER BY f",
@@ -253,15 +254,37 @@ var errorParityQueries = []string{
 	"SELECT id, DISTANCE(f, [1, 2, 3]) FROM tx ORDER BY distance LIMIT 3",
 	"SELECT COUNT(*), DISTANCE(f, [1, 2, 3, 4]) FROM tx",
 	"WITH b AS (SELECT id, f FROM tx) SELECT id, DISTANCE(f, [1, 2]) FROM b",
+	"SELECT id, PREDICT(m4, f) FROM p",
+	"SELECT PREDICT(m4, f) FROM p ORDER BY prediction",
+	"SELECT id, DISTANCE(f, [1, 2, 3, 4]) FROM p",
+	"WITH b AS (SELECT id, prediction, f FROM p) SELECT id, PREDICT(m4, f) FROM b",
+	"SELECT count, COUNT(*) FROM p GROUP BY count",
+}
+
+// clashSQL builds table p, whose stored columns are named prediction,
+// distance and count.
+var clashSQL = []string{
+	"CREATE TABLE p (id INT, prediction DOUBLE, distance DOUBLE, count INT, f VECTOR)",
+	"INSERT INTO p VALUES (0, 42, 42, 1, [1, 2, 3, 4]), (1, 42, 42, 2, [2, 3, 4, 5]), (2, 42, 42, 3, [3, 4, 5, 6])",
 }
 
 func TestScatterErrorsMatchSingleNode(t *testing.T) {
 	const rows = 24
 	ref := newRefEngine(t, rows)
+	for _, s := range clashSQL {
+		if _, err := ref.Exec(s); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, shards := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			cl := newTestCluster(t, shards, rows)
 			sess := cl.NewSession()
+			for _, s := range clashSQL {
+				if _, err := cl.Exec(context.Background(), s, sess); err != nil {
+					t.Fatal(err)
+				}
+			}
 			for _, q := range errorParityQueries {
 				_, refErr := ref.Query(q)
 				if refErr == nil {

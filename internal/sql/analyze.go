@@ -48,13 +48,3 @@ func (s *Select) HasAggregate() bool {
 	}
 	return false
 }
-
-// HasPredict reports whether any projection item is a PREDICT call.
-func (s *Select) HasPredict() bool {
-	for _, it := range s.Items {
-		if it.Predict != nil {
-			return true
-		}
-	}
-	return false
-}

@@ -41,6 +41,9 @@ type PredictExpr struct {
 	Quantized bool
 }
 
+// OutName is PREDICT's output column name.
+func (*PredictExpr) OutName() string { return "prediction" }
+
 // AggExpr is an aggregate call: COUNT(*), COUNT(col), SUM(col), AVG(col),
 // MIN(col), or MAX(col).
 type AggExpr struct {
@@ -65,6 +68,9 @@ type DistanceExpr struct {
 	Vec []float32
 }
 
+// OutName is DISTANCE's output column name.
+func (*DistanceExpr) OutName() string { return "distance" }
+
 // SelectItem is one projection item: `*`, a column, an aggregate,
 // PREDICT(...), or DISTANCE(...).
 type SelectItem struct {
@@ -73,6 +79,21 @@ type SelectItem struct {
 	Predict  *PredictExpr
 	Agg      *AggExpr
 	Distance *DistanceExpr
+}
+
+// OutName is the item's output column name: the column for a stored
+// column, the expression's OutName for PREDICT, DISTANCE or an aggregate,
+// and "" for `*`. It is the one rule that names SELECT output columns.
+func (it SelectItem) OutName() string {
+	switch {
+	case it.Predict != nil:
+		return it.Predict.OutName()
+	case it.Distance != nil:
+		return it.Distance.OutName()
+	case it.Agg != nil:
+		return it.Agg.OutName()
+	}
+	return it.Col
 }
 
 // Condition is a simple comparison `col op literal`.

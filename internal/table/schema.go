@@ -109,6 +109,13 @@ func (s *Schema) Project(names ...string) (*Schema, error) {
 	return NewSchema(cols...)
 }
 
+// Append returns s's columns followed by c, refusing a name s already has.
+func (s *Schema) Append(c Column) (*Schema, error) {
+	// A full slice expression makes append copy: s is shared.
+	n := len(s.Cols)
+	return NewSchema(append(s.Cols[:n:n], c)...)
+}
+
 // Concat returns the schema of s's columns followed by o's. Name collisions
 // are disambiguated with a suffix, as join outputs need.
 func (s *Schema) Concat(o *Schema) *Schema {

@@ -169,7 +169,8 @@ type inferBatch struct {
 
 // NewInferOp wraps in with UDF inference over featCol, batching batch rows
 // per UDF call. The output schema is the input schema plus a "prediction"
-// FloatVec column.
+// FloatVec column; an input that already has a column of that name is
+// refused.
 func NewInferOp(in exec.Operator, u UDF, featCol string, batch int, opts ...InferOption) (*InferOp, error) {
 	idx := in.Schema().ColIndex(featCol)
 	if idx < 0 {
@@ -181,7 +182,10 @@ func NewInferOp(in exec.Operator, u UDF, featCol string, batch int, opts ...Infe
 	if batch < 1 {
 		return nil, fmt.Errorf("udf: batch size %d < 1", batch)
 	}
-	schema := in.Schema().Concat(table.MustSchema(table.Column{Name: "prediction", Type: table.FloatVec}))
+	schema, err := in.Schema().Append(table.Column{Name: "prediction", Type: table.FloatVec})
+	if err != nil {
+		return nil, err
+	}
 	o := &InferOp{in: in, udf: u, featIdx: idx, batch: batch, schema: schema}
 	for _, opt := range opts {
 		opt(o)

@@ -3,6 +3,7 @@ package udf
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"tensorbase/internal/exec"
@@ -173,6 +174,10 @@ func TestInferOpValidation(t *testing.T) {
 	}
 	if _, err := NewInferOp(exec.NewMemScan(featSchema(), nil), u, "features", 0); err == nil {
 		t.Fatal("batch 0 must error")
+	}
+	stored := table.MustSchema(table.Column{Name: "prediction", Type: table.Float64}, table.Column{Name: "features", Type: table.FloatVec})
+	if _, err := NewInferOp(exec.NewMemScan(stored, nil), u, "features", 8); err == nil || !strings.Contains(err.Error(), `duplicate column "prediction"`) {
+		t.Fatalf("input with its own prediction column: err = %v, want the duplicate refused", err)
 	}
 }
 
