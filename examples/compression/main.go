@@ -16,7 +16,6 @@ import (
 	"tensorbase/internal/data"
 	"tensorbase/internal/nn"
 	"tensorbase/internal/storage"
-	"tensorbase/internal/tensor"
 )
 
 func main() {
@@ -79,10 +78,10 @@ func main() {
 	// Two deployments of the same model (e.g. per-tenant copies) share
 	// every block exactly.
 	w := model.Layers[0].(*nn.Linear).W
-	if _, err := ds.Store(tensor.Transpose(w)); err != nil {
+	if _, err := ds.Store(w); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := ds.Store(tensor.Transpose(w.Clone())); err != nil {
+	if _, err := ds.Store(w.Clone()); err != nil {
 		log.Fatal(err)
 	}
 	stored, shared, saved := ds.Stats()

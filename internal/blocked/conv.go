@@ -60,9 +60,9 @@ func StoreIm2Col(pool *storage.BufferPool, input *tensor.Tensor, kh, kw, bs int)
 
 // Conv2DRelational executes a stride-1, no-padding convolution as the
 // relation-centric plan: spatial-rewrite the input into a blocked patch
-// matrix F, chunk the flattened transposed kernel Kᵀ into blocks, and run
-// the blocked matrix multiplication F × Kᵀ as a join + aggregation. The
-// result is the blocked (n·outH·outW, outC) feature-map matrix.
+// matrix F, chunk the flattened (outC, kh·kw·c) kernel K into blocks, and
+// run the blocked matrix multiplication F × Kᵀ. The result is the blocked
+// (n·outH·outW, outC) feature-map matrix.
 func Conv2DRelational(pool *storage.BufferPool, input, kernel *tensor.Tensor, bs int, budget *memlimit.Budget) (*Matrix, error) {
 	if kernel.Rank() != 4 {
 		return nil, fmt.Errorf("blocked: kernel must be OHWI, got %v", kernel.Shape())
@@ -72,8 +72,7 @@ func Conv2DRelational(pool *storage.BufferPool, input, kernel *tensor.Tensor, bs
 	if err != nil {
 		return nil, err
 	}
-	kt := tensor.Transpose(tensor.FlattenKernel(kernel)) // (kh·kw·c, outC)
-	kb, err := Store(pool, kt, bs)
+	kb, err := Store(pool, tensor.FlattenKernel(kernel), bs)
 	if err != nil {
 		return nil, err
 	}

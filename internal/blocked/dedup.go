@@ -20,8 +20,8 @@ import (
 // duplicates share.
 //
 // Matrices from a DedupStore support the block-indexed access paths
-// (Block, Assemble, MultiplyStreaming); the whole-heap Scan sees the shared
-// pool, not one matrix, and is therefore not meaningful per matrix.
+// (Block, Assemble, MultiplyStreaming); their heap is the shared pool, not
+// one matrix.
 type DedupStore struct {
 	pool *storage.BufferPool
 	heap *table.Heap

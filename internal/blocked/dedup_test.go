@@ -132,7 +132,7 @@ func TestDedupMatricesMultiplyCorrectly(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(54))
-	w := randMat(rng, 32, 24)
+	w := randMat(rng, 24, 32) // (out,in)
 	wm, err := s.Store(w)
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +153,7 @@ func TestDedupMatricesMultiplyCorrectly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.AlmostEqual(tensor.MatMul(x, w), 1e-3) {
+	if !got.AlmostEqual(tensor.Dense(x, w, nil, false), 1e-3) {
 		t.Fatal("multiply through deduped weights is wrong")
 	}
 }

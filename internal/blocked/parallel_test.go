@@ -16,7 +16,7 @@ import (
 func TestMultiplyStreamingParallelBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	a := randMat(rng, 100, 130)
-	b := randMat(rng, 130, 70)
+	b := randMat(rng, 70, 130) // (out,in)
 	var serial *tensor.Tensor
 	for _, workers := range []int{1, 2, 4, 8} {
 		pool := newPool(t, 32)
@@ -49,7 +49,7 @@ func TestMultiplyStreamingParallelBitIdentical(t *testing.T) {
 func TestMultiplyRelationalParallelBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	a := randMat(rng, 48, 64)
-	b := randMat(rng, 64, 32)
+	b := randMat(rng, 32, 64) // (out,in)
 	var serial *tensor.Tensor
 	for _, workers := range []int{1, 2, 5} {
 		pool := newPool(t, 64)
@@ -187,7 +187,7 @@ func TestMultiplyStreamingAllocsIndependentOfK(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bb, err := Store(pool, randMat(rng, k, bs), bs)
+		bb, err := Store(pool, randMat(rng, bs, k), bs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -48,9 +48,9 @@ type Executor struct {
 	Pool      *storage.BufferPool
 	Budget    *memlimit.Budget
 	BlockSize int
-	// weights caches the chunked (blocked) transposed weight matrices of
-	// relation-centric Linear operators, keyed per layer — the paper's
-	// "chunk the weight matrix into matrix blocks" done once at load.
+	// weights caches each relation-centric Linear's (out,in) weight matrix
+	// chunked into blocks, keyed per layer — the paper's "chunk the weight
+	// matrix into matrix blocks" done once at load.
 	weights map[*nn.Linear]*blocked.Matrix
 	// offloaders caches DL-centric executors per target runtime.
 	offloaders map[*dlruntime.Runtime]*offloadExecutor
@@ -98,7 +98,7 @@ func (e *Executor) Prepare(plan *InferencePlan) error {
 			if _, done := e.weights[lin]; done {
 				continue
 			}
-			wt, err := blocked.Store(e.Pool, tensor.Transpose(lin.W), e.BlockSize)
+			wt, err := blocked.Store(e.Pool, lin.W, e.BlockSize)
 			if err != nil {
 				return fmt.Errorf("core: chunking weights of layer %d: %w", d.Layer, err)
 			}

@@ -92,12 +92,6 @@ func Images(seed int64, n, side, channels int) *tensor.Tensor {
 	return x
 }
 
-// MNISTLike draws side×side single-channel digit-like images with the
-// default noise level. See MNISTLikeNoisy.
-func MNISTLike(seed int64, n, side int) *Classified {
-	return MNISTLikeNoisy(seed, n, side, 0.18)
-}
-
 // MNISTLikeNoisy draws side×side single-channel digit-like images: 10
 // classes built as 5 sibling pairs — the odd class of each pair is the even
 // class's prototype with a small fraction of pixels redrawn (like 3 vs 8 or

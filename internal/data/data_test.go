@@ -71,7 +71,7 @@ func TestFraudShapes(t *testing.T) {
 }
 
 func TestMNISTLikeLearnableStructure(t *testing.T) {
-	d := MNISTLike(3, 400, 12)
+	d := MNISTLikeNoisy(3, 400, 12, 0.18)
 	if d.X.Dim(1) != 12 || d.X.Dim(3) != 1 {
 		t.Fatalf("shape %v", d.X.Shape())
 	}
@@ -105,7 +105,7 @@ func TestMNISTLikeLearnableStructure(t *testing.T) {
 }
 
 func TestFlatImagesSharesStorage(t *testing.T) {
-	d := MNISTLike(4, 10, 8)
+	d := MNISTLikeNoisy(4, 10, 8, 0.18)
 	f := d.FlatImages()
 	if f.X.Dim(0) != 10 || f.X.Dim(1) != 64 {
 		t.Fatalf("flat shape %v", f.X.Shape())
@@ -183,7 +183,7 @@ func TestFeatureRows(t *testing.T) {
 			t.Fatal("label mismatch")
 		}
 	}
-	img := MNISTLike(9, 5, 8)
+	img := MNISTLikeNoisy(9, 5, 8, 0.18)
 	if _, _, err := img.FeatureRows(); err == nil {
 		t.Fatal("4-D features must be rejected")
 	}

@@ -72,9 +72,46 @@ func TestFig3ShapeInDBFasterThanDLCentric(t *testing.T) {
 		t.Fatalf("got %d rows:\n%s", len(rows), Format(rows))
 	}
 	ours := find(t, rows, "DeepBench-CONV1", "ours(in-db)", 0)
-	graph := find(t, rows, "DeepBench-CONV1", "dl-centric(graph)", 0)
-	if ours.Latency >= graph.Latency {
-		t.Errorf("ours %v not faster than dl-centric %v", ours.Latency, graph.Latency)
+	for _, system := range []string{"dl-centric(graph)", "dl-centric(eager)"} {
+		dl := find(t, rows, "DeepBench-CONV1", system, 0)
+		if ours.Latency >= dl.Latency {
+			t.Errorf("ours %v not faster than %s %v", ours.Latency, system, dl.Latency)
+		}
+	}
+}
+
+// The paper's Table 3 latency orderings among systems that complete, where
+// they hold at quick scale: whole-tensor execution beats the
+// relation-centric plan when it fits — the external runtimes at
+// Amazon-14k-FC's small batch (paper 34.6 s and 22.6 s vs 58.6 s) and the
+// graph runtime at LandCover batch 1 (paper 9.9 s vs 36.8 s). Each held by
+// 2.8× or more in quick runs; the paper's ours-before-UDF-centric ordering
+// at Amazon does not hold here (EXPERIMENTS.md, deviations).
+func TestTable3LatencyOrderings(t *testing.T) {
+	if raceEnabled {
+		t.Skip("timing-shape assertions are not meaningful under the race detector")
+	}
+	rows, err := Table3(quickCfg(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		workload string
+		batch    int
+		faster   string
+	}{
+		{"Amazon-14k-FC", 100, "dl-centric(graph)"},
+		{"Amazon-14k-FC", 100, "dl-centric(eager)"},
+		{"LandCover", 1, "dl-centric(graph)"},
+	} {
+		ours := find(t, rows, c.workload, "ours(adaptive)", c.batch)
+		other := find(t, rows, c.workload, c.faster, c.batch)
+		if ours.Status != "OK" || other.Status != "OK" {
+			t.Fatalf("%s batch %d: unexpected status:\n%s", c.workload, c.batch, Format(rows))
+		}
+		if other.Latency >= ours.Latency {
+			t.Errorf("%s batch %d: %s %v not faster than ours %v", c.workload, c.batch, c.faster, other.Latency, ours.Latency)
+		}
 	}
 }
 

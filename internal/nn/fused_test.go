@@ -104,8 +104,9 @@ func TestVectorCallsPerForward(t *testing.T) {
 		{m, 256, 2},
 		{m, 1, 0},
 		{twin, 256, 2},
+		{LandCover(rng, 20), 1, 1}, // one image: 15 625 patch rows through Dense
 	} {
-		x := randInput(rng, []int{c.rows, 28})
+		x := randInput(rng, append([]int{c.rows}, c.model.InShape[1:]...))
 		before := tensor.Kernels().VectorCalls
 		c.model.Forward(x)
 		if got := tensor.Kernels().VectorCalls - before; got != c.want {

@@ -96,9 +96,6 @@ func BlockModel(m *Model, st *blockstore.Store) (*Manifest, []blockstore.Hash, e
 			}
 		case *Conv2D:
 			ml.Tag = tagConv2D
-			if l.UseIm2Col {
-				ml.Flag = 1
-			}
 			var k ManifestTensor
 			if k, err = intern(l.K); err == nil {
 				ml.Tensors = append(ml.Tensors, k)
@@ -191,7 +188,7 @@ func ModelFromManifest(mf *Manifest, st *blockstore.Store) (*Model, error) {
 				err = fmt.Errorf("conv2d kernel must be 4-D, got %v", k.Shape())
 				break
 			}
-			l = &Conv2D{K: k, UseIm2Col: ml.Flag&1 == 1}
+			l = &Conv2D{K: k} // Flag bit 0, the retired im2col flag, is ignored
 		case tagReLU:
 			l = ReLU{}
 		case tagSigmoid:

@@ -64,11 +64,7 @@ func writeLayer(bw *bufio.Writer, l Layer) error {
 	case *Conv2D:
 		bw.WriteByte(tagConv2D)
 		writeTensor(bw, l.K)
-		im2col := byte(0)
-		if l.UseIm2Col {
-			im2col = 1
-		}
-		bw.WriteByte(im2col)
+		bw.WriteByte(0) // the retired im2col flag; readers ignore it
 	case ReLU:
 		bw.WriteByte(tagReLU)
 	case Sigmoid:
@@ -157,11 +153,12 @@ func readLayer(br *bufio.Reader) (Layer, error) {
 		if k.Rank() != 4 {
 			return nil, fmt.Errorf("conv2d kernel must be 4-D, got %v", k.Shape())
 		}
-		im2col, err := br.ReadByte()
-		if err != nil {
+		// The flag byte once chose an im2col execution path; every conv
+		// runs that path now, so the byte is read and ignored.
+		if _, err := br.ReadByte(); err != nil {
 			return nil, err
 		}
-		return &Conv2D{K: k, UseIm2Col: im2col == 1}, nil
+		return &Conv2D{K: k}, nil
 	case tagReLU:
 		return ReLU{}, nil
 	case tagSigmoid:

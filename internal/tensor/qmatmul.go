@@ -113,7 +113,7 @@ func matmulQ8RowsWide(out []float32, a8 []int8, aScales []float32, b8 []int8, bS
 }
 
 // matmulQ8Rows computes rows [r0,r1) of the int8 GEMM. Same shape as
-// matmulTransBRows: four output channels per pass over the activation row,
+// transBCols4: four output channels per pass over the activation row,
 // int32 accumulators (independent integer add chains pipeline freely),
 // dequantize on store.
 func matmulQ8Rows(out []float32, a8 []int8, aScales []float32, b8 []int8, bScales []float32, r0, r1, k, n int) {
