@@ -599,28 +599,6 @@ func BenchmarkPlanCache(b *testing.B) {
 	})
 }
 
-// BenchmarkExactCache measures the hash-indexed zero-error cache (Sec. 5).
-func BenchmarkExactCache(b *testing.B) {
-	c := cache.NewExact()
-	rng := rand.New(rand.NewSource(26))
-	feats := make([][]float32, 1024)
-	for i := range feats {
-		v := make([]float32, 64)
-		for j := range v {
-			v[j] = rng.Float32()
-		}
-		feats[i] = v
-		c.Insert(v, []float32{1})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := c.Lookup(feats[i%len(feats)]); !ok {
-			b.Fatal("miss on inserted key")
-		}
-	}
-}
-
 // BenchmarkReplacementPolicy compares LRU and Clock page replacement under
 // a scanning workload larger than the pool.
 func BenchmarkReplacementPolicy(b *testing.B) {

@@ -46,39 +46,6 @@ func TestMultiplyStreamingParallelBitIdentical(t *testing.T) {
 	}
 }
 
-func TestMultiplyRelationalParallelBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	a := randMat(rng, 48, 64)
-	b := randMat(rng, 32, 64) // (out,in)
-	var serial *tensor.Tensor
-	for _, workers := range []int{1, 2, 5} {
-		pool := newPool(t, 64)
-		ab, err := Store(pool, a, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bb, err := Store(pool, b, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := MultiplyRelationalWorkers(pool, ab, bb, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := c.Assemble()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if workers == 1 {
-			serial = got
-			continue
-		}
-		if !got.Equal(serial) {
-			t.Fatalf("workers=%d: partitioned aggregate result differs from serial", workers)
-		}
-	}
-}
-
 // Parallel multiply under a pool far smaller than the operands: workers
 // race on fetch, eviction, and reload of the same pages, and the result
 // must still match the serial one exactly. Run under -race this is the

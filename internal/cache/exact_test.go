@@ -2,49 +2,79 @@ package cache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
-func TestExactCacheHitRequiresIdenticalFeatures(t *testing.T) {
-	c := NewExact()
-	c.Insert([]float32{1, 2, 3}, []float32{0.9})
-	if pred, ok := c.Lookup([]float32{1, 2, 3}); !ok || pred[0] != 0.9 {
-		t.Fatalf("identical lookup: ok=%v pred=%v", ok, pred)
+// The exact cache is a ResultCache at distance 0 (the engine's
+// ResultCacheDistance: 0): a lookup hits only on bit-identical features.
+func newExact(t testing.TB, dim int) *ResultCache {
+	t.Helper()
+	c, err := NewHNSW(dim, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := c.Lookup([]float32{1, 2, 3.001}); ok {
-		t.Fatal("near-identical features must miss (exact semantics)")
+	return c
+}
+
+func lookup(t testing.TB, c *ResultCache, features []float32) ([]float32, bool) {
+	t.Helper()
+	pred, ok, err := c.Lookup(features)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := c.Lookup([]float32{1, 2}); ok {
-		t.Fatal("shorter features must miss")
-	}
-	hits, misses := c.Stats()
-	if hits != 1 || misses != 2 {
-		t.Fatalf("stats = %d/%d", hits, misses)
+	return pred, ok
+}
+
+func insert(t testing.TB, c *ResultCache, features, prediction []float32) {
+	t.Helper()
+	if err := c.Insert(features, prediction); err != nil {
+		t.Fatal(err)
 	}
 }
 
-func TestExactCacheOverwrite(t *testing.T) {
-	c := NewExact()
-	c.Insert([]float32{5}, []float32{0.1})
-	c.Insert([]float32{5}, []float32{0.2})
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1 after overwrite", c.Len())
+func TestExactCacheHitRequiresIdenticalFeatures(t *testing.T) {
+	c := newExact(t, 3)
+	insert(t, c, []float32{1, 2, 3}, []float32{0.9})
+	if pred, ok := lookup(t, c, []float32{1, 2, 3}); !ok || pred[0] != 0.9 {
+		t.Fatalf("identical lookup: ok=%v pred=%v", ok, pred)
 	}
-	pred, ok := c.Lookup([]float32{5})
+	if _, ok := lookup(t, c, []float32{1, 2, 3.001}); ok {
+		t.Fatal("near-identical features must miss (exact semantics)")
+	}
+	if _, _, err := c.Lookup([]float32{1, 2}); err == nil {
+		t.Fatal("shorter features must be refused")
+	}
+	hits, misses := c.Stats()
+	if hits != 1 || misses != 1 {
+		t.Fatalf("stats = %d/%d", hits, misses)
+	}
+	if n := c.Counters().Searches; n != 0 {
+		t.Fatalf("exact-only lookups ran %d ANN searches, want 0", n)
+	}
+}
+
+// A repeat insert of the same features answers later lookups with the
+// newer prediction.
+func TestExactCacheOverwrite(t *testing.T) {
+	c := newExact(t, 1)
+	insert(t, c, []float32{5}, []float32{0.1})
+	insert(t, c, []float32{5}, []float32{0.2})
+	pred, ok := lookup(t, c, []float32{5})
 	if !ok || pred[0] != 0.2 {
 		t.Fatalf("pred = %v", pred)
 	}
 }
 
 func TestExactCacheReturnedSliceIsStable(t *testing.T) {
-	c := NewExact()
+	c := newExact(t, 2)
 	feat := []float32{1, 2}
 	pred := []float32{0.5}
-	c.Insert(feat, pred)
+	insert(t, c, feat, pred)
 	feat[0] = 9 // caller mutates its slices afterwards
 	pred[0] = 9
-	got, ok := c.Lookup([]float32{1, 2})
+	got, ok := lookup(t, c, []float32{1, 2})
 	if !ok || got[0] != 0.5 {
 		t.Fatalf("cache aliased caller slices: ok=%v got=%v", ok, got)
 	}
@@ -55,7 +85,7 @@ func TestExactCacheReturnedSliceIsStable(t *testing.T) {
 func TestExactCacheProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		c := NewExact()
+		c := newExact(t, 4)
 		n := 1 + rng.Intn(100)
 		feats := make([][]float32, n)
 		for i := range feats {
@@ -64,18 +94,18 @@ func TestExactCacheProperty(t *testing.T) {
 				v[j] = float32(rng.Intn(50)) // duplicates likely
 			}
 			feats[i] = v
-			c.Insert(v, []float32{float32(i)})
+			insert(t, c, v, []float32{float32(i)})
 		}
 		// Every inserted key must hit (possibly with a later overwrite's
 		// value — find the last insert of an equal key).
 		for i, f := range feats {
-			pred, ok := c.Lookup(f)
+			pred, ok := lookup(t, c, f)
 			if !ok {
 				return false
 			}
 			lastIdx := i
 			for j := i + 1; j < n; j++ {
-				if equalFeatures(feats[j], f) {
+				if slices.Equal(feats[j], f) {
 					lastIdx = j
 				}
 			}
@@ -84,7 +114,7 @@ func TestExactCacheProperty(t *testing.T) {
 			}
 		}
 		// A key guaranteed absent must miss.
-		if _, ok := c.Lookup([]float32{-1, -1, -1, -1}); ok {
+		if _, ok := lookup(t, c, []float32{-1, -1, -1, -1}); ok {
 			return false
 		}
 		return true

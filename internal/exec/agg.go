@@ -12,23 +12,16 @@ import (
 // AggKind enumerates aggregate functions.
 type AggKind uint8
 
-// Aggregate kinds. VecSum sums FloatVec columns elementwise — the
-// aggregation half of the relation-centric "matmul = join + aggregation"
-// rewriting. VecFold runs a user-defined fold over whole input tuples,
-// which is how a per-tuple map UDF and its aggregation fuse into one
-// operator (e.g. MatMulSum: accumulate each joined block pair's product
-// directly into the group's result block).
+// Aggregate kinds.
 const (
 	Count AggKind = iota + 1
 	Sum
 	Avg
 	Min
 	Max
-	VecSum
-	VecFold
 )
 
-var aggKindNames = [...]string{Count: "COUNT", Sum: "SUM", Avg: "AVG", Min: "MIN", Max: "MAX", VecSum: "VecSum", VecFold: "VecFold"}
+var aggKindNames = [...]string{Count: "COUNT", Sum: "SUM", Avg: "AVG", Min: "MIN", Max: "MAX"}
 
 // String returns the kind's SQL name (COUNT, SUM, ...).
 func (k AggKind) String() string {
@@ -38,19 +31,11 @@ func (k AggKind) String() string {
 	return fmt.Sprintf("AggKind(%d)", uint8(k))
 }
 
-// FoldFunc merges one input tuple into a group's float-vector accumulator.
-// On the group's first tuple acc is nil and the fold allocates it; the
-// possibly-grown accumulator is returned. Folds run once per input tuple in
-// input order, so a deterministic fold gives deterministic group results.
-type FoldFunc func(acc []float32, t table.Tuple) ([]float32, error)
-
 // AggSpec names one aggregate over an input column.
 type AggSpec struct {
 	Kind AggKind
-	Col  string // ignored for Count and VecFold
+	Col  string // ignored for Count
 	As   string // output column name
-	// Fold implements the VecFold kind; required for it, ignored otherwise.
-	Fold FoldFunc
 }
 
 // HashAggregate groups by key columns and computes aggregates per group.
@@ -75,7 +60,6 @@ type aggState struct {
 	sums   []float64
 	mins   []float64
 	maxs   []float64
-	vecs   [][]float32
 	inited bool
 }
 
@@ -112,22 +96,6 @@ func NewHashAggregate(in Operator, groupBy []string, specs []AggSpec) (*HashAggr
 			}
 			aggIdx[i] = idx
 			cols = append(cols, table.Column{Name: s.As, Type: table.Float64})
-		case VecSum:
-			idx := inSchema.ColIndex(s.Col)
-			if idx < 0 {
-				return nil, fmt.Errorf("exec: aggregate: unknown column %q", s.Col)
-			}
-			if inSchema.Cols[idx].Type != table.FloatVec {
-				return nil, fmt.Errorf("exec: VecSum over non-vector column %q", s.Col)
-			}
-			aggIdx[i] = idx
-			cols = append(cols, table.Column{Name: s.As, Type: table.FloatVec})
-		case VecFold:
-			if s.Fold == nil {
-				return nil, fmt.Errorf("exec: VecFold aggregate %q needs a Fold function", s.As)
-			}
-			aggIdx[i] = -1
-			cols = append(cols, table.Column{Name: s.As, Type: table.FloatVec})
 		default:
 			return nil, fmt.Errorf("exec: unknown aggregate kind %d", s.Kind)
 		}
@@ -174,14 +142,11 @@ func (a *HashAggregate) Open() error {
 				sums: make([]float64, len(a.specs)),
 				mins: make([]float64, len(a.specs)),
 				maxs: make([]float64, len(a.specs)),
-				vecs: make([][]float32, len(a.specs)),
 			}
 			groups[key] = st
 			order = append(order, key)
 		}
-		if err := a.accumulate(st, t); err != nil {
-			return err
-		}
+		a.accumulate(st, t)
 	}
 	sort.Strings(order)
 	a.results = a.results[:0]
@@ -197,8 +162,8 @@ func (a *HashAggregate) groupKey(t table.Tuple) string {
 }
 
 // groupKeyOf builds the canonical group-key string for the values of t at
-// idx. The partitioned aggregate uses the same encoding to route tuples and
-// to merge-sort results, so its output order matches the serial operator's.
+// idx. MergeAggregate groups by the same encoding, so its output order
+// matches this operator's.
 func groupKeyOf(t table.Tuple, idx []int) string {
 	var sb strings.Builder
 	for _, i := range idx {
@@ -215,7 +180,7 @@ func (a *HashAggregate) keyTuple(t table.Tuple) table.Tuple {
 	return key
 }
 
-func (a *HashAggregate) accumulate(st *aggState, t table.Tuple) error {
+func (a *HashAggregate) accumulate(st *aggState, t table.Tuple) {
 	st.count++
 	for i, s := range a.specs {
 		switch s.Kind {
@@ -230,28 +195,9 @@ func (a *HashAggregate) accumulate(st *aggState, t table.Tuple) error {
 			if !st.inited || v > st.maxs[i] {
 				st.maxs[i] = v
 			}
-		case VecSum:
-			vec := t[a.aggIdx[i]].Vec
-			if st.vecs[i] == nil {
-				st.vecs[i] = make([]float32, len(vec))
-			}
-			if len(st.vecs[i]) != len(vec) {
-				return fmt.Errorf("exec: VecSum over ragged vectors (%d vs %d)", len(st.vecs[i]), len(vec))
-			}
-			acc := st.vecs[i]
-			for j, f := range vec {
-				acc[j] += f
-			}
-		case VecFold:
-			acc, err := s.Fold(st.vecs[i], t)
-			if err != nil {
-				return fmt.Errorf("exec: fold %q: %w", s.As, err)
-			}
-			st.vecs[i] = acc
 		}
 	}
 	st.inited = true
-	return nil
 }
 
 func numeric(v table.Value) float64 {
@@ -276,8 +222,6 @@ func (a *HashAggregate) finish(st *aggState) table.Tuple {
 			out = append(out, table.FloatVal(st.mins[i]))
 		case Max:
 			out = append(out, table.FloatVal(st.maxs[i]))
-		case VecSum, VecFold:
-			out = append(out, table.VecVal(st.vecs[i]))
 		}
 	}
 	return out

@@ -88,59 +88,6 @@ func TestLimit(t *testing.T) {
 	}
 }
 
-func joinSchema(key, val string) *table.Schema {
-	return table.MustSchema(table.Column{Name: key, Type: table.Int64}, table.Column{Name: val, Type: table.Float64})
-}
-
-func TestHashJoinMatchesAndMultiplicity(t *testing.T) {
-	left := NewMemScan(joinSchema("k", "lv"), rows([2]float64{1, 10}, [2]float64{2, 20}, [2]float64{2, 21}))
-	right := NewMemScan(joinSchema("k", "rv"), rows([2]float64{2, 200}, [2]float64{2, 201}, [2]float64{3, 300}))
-	j, err := NewHashJoin(left, right, "k", "k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Collect(j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// keys 2×2 matches on both sides with multiplicity 2 → 4 rows.
-	if len(got) != 4 {
-		t.Fatalf("join produced %d rows, want 4", len(got))
-	}
-	for _, r := range got {
-		if r[0].Int != 2 || r[2].Int != 2 {
-			t.Fatalf("join row with wrong keys: %v", r)
-		}
-	}
-	// Output schema: k, lv, k_2, rv.
-	if j.Schema().ColIndex("k_2") < 0 {
-		t.Fatalf("schema = %+v", j.Schema().Cols)
-	}
-}
-
-func TestHashJoinEmptySides(t *testing.T) {
-	left := NewMemScan(joinSchema("k", "lv"), nil)
-	right := NewMemScan(joinSchema("k", "rv"), rows([2]float64{1, 1}))
-	j, err := NewHashJoin(left, right, "k", "k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Collect(j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Fatalf("empty probe side must yield 0 rows, got %d", len(got))
-	}
-}
-
-func TestHashJoinRejectsNonIntKeys(t *testing.T) {
-	s := table.MustSchema(table.Column{Name: "f", Type: table.Float64})
-	if _, err := NewHashJoin(NewMemScan(s, nil), NewMemScan(s, nil), "f", "f"); err == nil {
-		t.Fatal("non-INT keys must be rejected")
-	}
-}
-
 func floatSchema(key, val string) *table.Schema {
 	return table.MustSchema(table.Column{Name: key, Type: table.Float64}, table.Column{Name: val, Type: table.Float64})
 }
@@ -253,45 +200,6 @@ func TestHashAggregateCountSumAvgMinMax(t *testing.T) {
 	}
 }
 
-func TestHashAggregateVecSum(t *testing.T) {
-	s := table.MustSchema(table.Column{Name: "g", Type: table.Int64}, table.Column{Name: "blk", Type: table.FloatVec})
-	in := NewMemScan(s, []table.Tuple{
-		{table.IntVal(1), table.VecVal([]float32{1, 2})},
-		{table.IntVal(1), table.VecVal([]float32{10, 20})},
-		{table.IntVal(2), table.VecVal([]float32{5, 5})},
-	})
-	agg, err := NewHashAggregate(in, []string{"g"}, []AggSpec{{Kind: VecSum, Col: "blk", As: "sum"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Collect(agg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("got %d groups", len(got))
-	}
-	sort.Slice(got, func(i, j int) bool { return got[i][0].Int < got[j][0].Int })
-	if v := got[0][1].Vec; v[0] != 11 || v[1] != 22 {
-		t.Fatalf("VecSum = %v", v)
-	}
-}
-
-func TestHashAggregateVecSumRaggedErrors(t *testing.T) {
-	s := table.MustSchema(table.Column{Name: "g", Type: table.Int64}, table.Column{Name: "blk", Type: table.FloatVec})
-	in := NewMemScan(s, []table.Tuple{
-		{table.IntVal(1), table.VecVal([]float32{1})},
-		{table.IntVal(1), table.VecVal([]float32{1, 2})},
-	})
-	agg, err := NewHashAggregate(in, []string{"g"}, []AggSpec{{Kind: VecSum, Col: "blk", As: "s"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := agg.Open(); err == nil {
-		t.Fatal("ragged VecSum must error")
-	}
-}
-
 func TestHashAggregateValidation(t *testing.T) {
 	s := intsSchema()
 	if _, err := NewHashAggregate(NewMemScan(s, nil), []string{"ghost"}, nil); err == nil {
@@ -370,41 +278,5 @@ func TestPipelineComposition(t *testing.T) {
 	}
 	if len(got) != 3 || got[0][0].Int != 99 {
 		t.Fatalf("pipeline = %v", got)
-	}
-}
-
-// TestHashJoinMatchesNestedLoopReference checks the hash join's output
-// count against a nested loop over the same rows, with duplicate keys on
-// both sides.
-func TestHashJoinMatchesNestedLoopReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	lrows := make([]table.Tuple, 30)
-	rrows := make([]table.Tuple, 25)
-	for i := range lrows {
-		lrows[i] = table.Tuple{table.IntVal(int64(rng.Intn(8))), table.FloatVal(float64(i))}
-	}
-	for i := range rrows {
-		rrows[i] = table.Tuple{table.IntVal(int64(rng.Intn(8))), table.FloatVal(float64(-i))}
-	}
-	want := 0
-	for _, l := range lrows {
-		for _, r := range rrows {
-			if l[0].Int == r[0].Int {
-				want++
-			}
-		}
-	}
-	hj, err := NewHashJoin(
-		NewMemScan(joinSchema("k", "lv"), lrows),
-		NewMemScan(joinSchema("k", "rv"), rrows), "k", "k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Collect(hj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != want {
-		t.Fatalf("hash join %d rows, nested loop %d", len(got), want)
 	}
 }

@@ -189,11 +189,19 @@ func TestHeapLookupCancelledMidStream(t *testing.T) {
 // closeCounter is an input whose Next fails after n rows and which counts
 // its Closes.
 type closeCounter struct {
-	failingScan
-	closes int
+	n, closes int
 }
 
-func (c *closeCounter) Close() error { c.closes++; return nil }
+func (c *closeCounter) Schema() *table.Schema { return intsSchema() }
+func (c *closeCounter) Open() error           { return nil }
+func (c *closeCounter) Close() error          { c.closes++; return nil }
+func (c *closeCounter) Next() (table.Tuple, bool, error) {
+	if c.n <= 0 {
+		return nil, false, errors.New("input died")
+	}
+	c.n--
+	return table.Tuple{table.IntVal(int64(c.n)), table.FloatVal(1)}, true, nil
+}
 
 // TestCollectClosesFailedOpen: a pipeline breaker whose input fails inside
 // Open releases that input through one rule, Collect's Close, exactly once
@@ -203,17 +211,17 @@ func TestCollectClosesFailedOpen(t *testing.T) {
 		"aggregate": func(in Operator) (Operator, error) {
 			return NewHashAggregate(in, []string{"id"}, []AggSpec{{Kind: Count, As: "n"}})
 		},
-		"partitioned aggregate": func(in Operator) (Operator, error) {
-			return NewPartitionedAggregate(in, []string{"id"}, []AggSpec{{Kind: Count, As: "n"}}, 1)
-		},
 		"sort": func(in Operator) (Operator, error) { return NewSort(in, "id", false, -1, nil) },
 		"topk": func(in Operator) (Operator, error) { return NewSort(in, "id", false, 3, nil) },
-		"hash join": func(in Operator) (Operator, error) {
-			return NewHashJoin(NewMemScan(intsSchema(), nil), in, "id", "id")
+		"band join, left input fails": func(in Operator) (Operator, error) {
+			return NewBandJoin(in, NewMemScan(intsSchema(), rows([2]float64{1, 1})), "v", "v", 0)
+		},
+		"band join, right input fails": func(in Operator) (Operator, error) {
+			return NewBandJoin(NewMemScan(intsSchema(), rows([2]float64{1, 1})), in, "v", "v", 0)
 		},
 	}
 	for name, build := range breakers {
-		in := &closeCounter{failingScan: failingScan{schema: intsSchema(), n: 5}}
+		in := &closeCounter{n: 5}
 		op, err := build(in)
 		if err != nil {
 			t.Fatal(err)

@@ -8,117 +8,6 @@ import (
 	"tensorbase/internal/table"
 )
 
-// HashJoin is an equi-join: it builds a hash table over the right input's
-// key column and probes with the left input. Output tuples are left columns
-// followed by right columns (disambiguated via Schema.Concat).
-type HashJoin struct {
-	left, right       Operator
-	leftCol, rightCol string
-	schema            *table.Schema
-	leftIdx, rightIdx int
-	built             map[int64][]table.Tuple
-	cur               table.Tuple // current probe tuple
-	matches           []table.Tuple
-	matchPos          int
-	tok               *lifecycle.Token
-}
-
-// NewHashJoin joins left and right on equality of Int64 columns
-// leftCol = rightCol.
-func NewHashJoin(left, right Operator, leftCol, rightCol string) (*HashJoin, error) {
-	li := left.Schema().ColIndex(leftCol)
-	if li < 0 {
-		return nil, fmt.Errorf("exec: join: unknown left column %q", leftCol)
-	}
-	ri := right.Schema().ColIndex(rightCol)
-	if ri < 0 {
-		return nil, fmt.Errorf("exec: join: unknown right column %q", rightCol)
-	}
-	if left.Schema().Cols[li].Type != table.Int64 || right.Schema().Cols[ri].Type != table.Int64 {
-		return nil, fmt.Errorf("exec: hash join requires INT key columns")
-	}
-	return &HashJoin{
-		left: left, right: right,
-		leftCol: leftCol, rightCol: rightCol,
-		schema:  left.Schema().Concat(right.Schema()),
-		leftIdx: li, rightIdx: ri,
-	}, nil
-}
-
-// Schema implements Operator.
-func (j *HashJoin) Schema() *table.Schema { return j.schema }
-
-// SetCancel implements Cancellable: the eager build loop in Open and the
-// probe loop in Next observe tok.
-func (j *HashJoin) SetCancel(tok *lifecycle.Token) { j.tok = tok }
-
-// Open implements Operator: it consumes the right (build) side eagerly.
-func (j *HashJoin) Open() error {
-	if err := j.left.Open(); err != nil {
-		return err
-	}
-	if err := j.right.Open(); err != nil {
-		return err
-	}
-	j.built = make(map[int64][]table.Tuple)
-	for {
-		if err := j.tok.Err(); err != nil {
-			return err
-		}
-		t, ok, err := j.right.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		k := t[j.rightIdx].Int
-		j.built[k] = append(j.built[k], t)
-	}
-	j.cur = nil
-	j.matches = nil
-	j.matchPos = 0
-	return nil
-}
-
-// Next implements Operator.
-func (j *HashJoin) Next() (table.Tuple, bool, error) {
-	for {
-		if err := j.tok.Err(); err != nil {
-			return nil, false, err
-		}
-		if j.matchPos < len(j.matches) {
-			r := j.matches[j.matchPos]
-			j.matchPos++
-			return concatTuple(j.cur, r), true, nil
-		}
-		t, ok, err := j.left.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		j.cur = t
-		j.matches = j.built[t[j.leftIdx].Int]
-		j.matchPos = 0
-	}
-}
-
-// Close implements Operator.
-func (j *HashJoin) Close() error {
-	j.built = nil
-	err := j.left.Close()
-	if err2 := j.right.Close(); err == nil {
-		err = err2
-	}
-	return err
-}
-
-func concatTuple(a, b table.Tuple) table.Tuple {
-	out := make(table.Tuple, 0, len(a)+len(b))
-	out = append(out, a...)
-	out = append(out, b...)
-	return out
-}
-
 // BandJoin is the similarity join of Sec. 7.2.1: it matches left and right
 // tuples whose Float64 join columns differ by at most eps, using sorted
 // inputs and a sliding band — O((n+m)·log + output) instead of the
@@ -232,4 +121,12 @@ func (j *BandJoin) Next() (table.Tuple, bool, error) {
 func (j *BandJoin) Close() error {
 	j.leftRows, j.rightRows = nil, nil
 	return nil
+}
+
+// concatTuple returns a join output row: a's columns followed by b's.
+func concatTuple(a, b table.Tuple) table.Tuple {
+	out := make(table.Tuple, 0, len(a)+len(b))
+	out = append(out, a...)
+	out = append(out, b...)
+	return out
 }

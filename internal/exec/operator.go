@@ -1,8 +1,8 @@
 // Package exec implements the Volcano-style relational executor: scans,
-// filters, projections, hash and similarity joins, hash aggregation, sort,
-// and limit. These are the operators the relation-centric representation
-// lowers tensor computations onto (matrix multiply → join + aggregation) and
-// the substrate for ordinary SQL processing around model inference.
+// filters, projections, a similarity join, hash aggregation, sort, and
+// limit — the substrate for ordinary SQL processing around model
+// inference. The relation-centric matrix multiply (join + aggregation over
+// tensor blocks) runs in package blocked, keyed by block coordinates.
 package exec
 
 import (

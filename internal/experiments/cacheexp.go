@@ -137,12 +137,28 @@ func cacheOne(cfg Config, name string, cnn bool) ([]Row, error) {
 	hits, misses := rc.Stats()
 	speedup := float64(fullLat) / float64(cachedLat)
 
+	// The SLA-gated adaptive policy of Sec. 5: estimate how often the
+	// cached answer agrees with full inference on the test rows, and
+	// recommend the cache only if that meets the SLA. It runs after the
+	// timed loop and the counters are read, because the estimate's own
+	// lookups insert into the cache.
+	sla := cache.SLA{MinAgreement: 0.95}
+	useCache, agreement, err := cache.Recommend(cm, flatTest, sla)
+	if err != nil {
+		return nil, err
+	}
+	verdict := "serve full inference"
+	if useCache {
+		verdict = "use cache"
+	}
+
 	return []Row{
 		{Exp: "cache", Workload: name, System: "full-inference", Batch: len(testY), Latency: fullLat, Status: "OK",
 			Note: fmt.Sprintf("accuracy %.2f%%", 100*fullAcc)},
 		{Exp: "cache", Workload: name, System: "hnsw-cache", Batch: len(testY), Latency: cachedLat, Status: "OK",
-			Note: fmt.Sprintf("accuracy %.2f%%, %.1fx speedup, hit rate %.0f%%",
-				100*cachedAcc, speedup, 100*float64(hits)/float64(hits+misses))},
+			Note: fmt.Sprintf("accuracy %.2f%%, %.1fx speedup, hit rate %.0f%%, agreement %.1f%% vs SLA %.0f%%: %s",
+				100*cachedAcc, speedup, 100*float64(hits)/float64(hits+misses),
+				100*agreement, 100*sla.MinAgreement, verdict)},
 	}, nil
 }
 

@@ -219,6 +219,22 @@ func TestCacheExpSpeedupAndAccuracyDrop(t *testing.T) {
 		if !strings.Contains(cached.Note, "speedup") {
 			t.Errorf("cache note missing speedup: %q", cached.Note)
 		}
+		// The SLA-gated policy's verdict follows its agreement estimate.
+		i := strings.Index(cached.Note, "agreement ")
+		if i < 0 {
+			t.Fatalf("cache note missing the SLA agreement: %q", cached.Note)
+		}
+		var agree, floor float64
+		if _, err := fmt.Sscanf(cached.Note[i:], "agreement %f%% vs SLA %f%%:", &agree, &floor); err != nil {
+			t.Fatalf("cache note %q: %v", cached.Note, err)
+		}
+		want := "serve full inference"
+		if agree >= floor {
+			want = "use cache"
+		}
+		if !strings.HasSuffix(cached.Note, ": "+want) {
+			t.Errorf("%s: agreement %.1f%% vs SLA %.0f%%, want verdict %q: %q", full.Workload, agree, floor, want, cached.Note)
+		}
 	}
 }
 

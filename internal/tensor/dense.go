@@ -337,11 +337,13 @@ type q8Scratch struct {
 var q8ScratchPool = sync.Pool{New: func() any { return new(q8Scratch) }}
 
 // DenseQ8 is Dense over int8 weights: each row of x is quantized to int8
-// with its own scale (QuantizeRowsQ8), multiplied exactly in integers, and
-// dequantized as float32(Σ a·w)·aScale·wScale, then biased and ReLU'd. The
-// result has the bits of QuantizeRowsQ8 + MatMulQ8Into (+ AddBiasRowsInto,
-// ReLUInto). Per-row scales make every output row a function of its input
-// row alone, so batch composition cannot change any row's bits.
+// with its own scale, maxAbs(row)/127 (1 for an all-zero row), multiplied
+// exactly in integers, and dequantized as float32(Σ a·w)·aScale·wScale,
+// then biased and ReLU'd. The result has the bits of quantizing the rows,
+// running a scalar int8 GEMM, then AddBiasRowsInto and ReLUInto — the
+// oracle its tests check it against. Per-row scales make every output row
+// a function of its input row alone, so batch composition cannot change
+// any row's bits.
 func DenseQ8(x *Tensor, w *Q8Pairs, bias *Tensor, relu bool) *Tensor {
 	if x.Rank() != 2 {
 		panic(fmt.Sprintf("tensor: DenseQ8 input shape %v, want (m,%d)", x.shape, w.k))
@@ -444,7 +446,33 @@ func q8Rows(out []float32, a []int32, as []float32, x []float32, w *Q8Pairs, bia
 	epilogue(out, bias, relu, r0, r1, n, j0)
 }
 
-// maxAbsGo is QuantizeRowsQ8's row maximum: the largest |v|, NaNs skipped.
+// q8WideK is the largest inner dimension an int32 accumulator of int8
+// products handles without overflow risk: k·127² must stay below 2³¹.
+const q8WideK = 1 << 17
+
+// quantQ8 rounds v·inv half away from zero and clamps to ±127 — the
+// arithmetic of math.Round, done by an add-and-truncate that the hot loops
+// can afford. The product is computed in float32 (matching the historical
+// behaviour) and widened before the ±0.5 add, which is then exact: a
+// widened float32 of magnitude ≥ 2⁻²⁹ has its lowest bit well above
+// float64's rounding point, and anything smaller rounds to 0 either way.
+func quantQ8(v, inv float32) int32 {
+	f := float64(v * inv)
+	switch {
+	case f >= 126.5: // rounds to ≥ 127: clamp before int conversion
+		return 127
+	case f <= -126.5:
+		return -127
+	case f >= 0:
+		return int32(f + 0.5)
+	case f < 0:
+		return int32(f - 0.5)
+	}
+	return 0 // NaN input: comparisons all false
+}
+
+// maxAbsGo is the row maximum a row's int8 scale is taken from: the
+// largest |v|, NaNs skipped.
 func maxAbsGo(x []float32) float32 {
 	var maxAbs float32
 	for _, v := range x {

@@ -74,8 +74,8 @@ func maxAbsSSE(x *float32, n int) float32
 //go:noescape
 func quantPairsSSE(dst *int32, src *float32, groups int, inv float32)
 
-// maxAbsF32 returns QuantizeRowsQ8's maxAbs of x: the largest |v|, NaNs
-// skipped, +0 for an empty or all-zero row.
+// maxAbsF32 returns maxAbsGo(x): the largest |v|, NaNs skipped, +0 for
+// an empty or all-zero row.
 func maxAbsF32(x []float32) float32 {
 	if len(x) == 0 {
 		return 0

@@ -32,7 +32,7 @@ var (
 type KernelStats struct {
 	SerialRuns  uint64 // kernels that ran on the caller's goroutine alone
 	FanOuts     uint64 // kernels that drew extra workers from the shared budget
-	Q8Calls     uint64 // int8 GEMM invocations (MatMulQ8Into, DenseQ8)
+	Q8Calls     uint64 // int8 GEMM invocations (DenseQ8)
 	VectorCalls uint64 // Dense/DenseQ8 calls that ran an AVX2 tile or SSE tail dot
 }
 

@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Fail when a `go test -run` pattern in a CI workflow selects no test.
+"""Fail when a `go test -run` or `-bench` pattern in a CI workflow selects
+nothing.
 
-Each `-run` pattern in the workflow is split into its top-level `|`
-alternatives, and each alternative is listed with `go test -list` over the
-packages its command names. An alternative that lists nothing, such as a
-renamed or misspelled test, fails the check: CI would otherwise run
-nothing for it and pass. Commands that run benchmarks (`-bench`) are
-skipped, because their `-run` deliberately matches nothing.
+Each pattern in the workflow is split into its top-level `|` alternatives,
+and each alternative is listed with `go test -list` over the packages its
+command names. An alternative that lists nothing, such as a renamed or
+misspelled test, fails the check: CI would otherwise run nothing for it
+and pass. In a command that runs benchmarks, each `-bench` alternative
+must list a Benchmark, and the `-run` pattern is not checked, because it
+deliberately matches nothing.
 
 usage: python3 scripts/check_run_patterns.py [.github/workflows/ci.yml]
 """
@@ -32,19 +34,23 @@ def go_test_commands(path):
         yield args
 
 
-def run_pattern(args):
-    """Returns the command's -run pattern and its packages, or None."""
-    pattern, pkgs = None, []
+def selection(args):
+    """Returns the flag whose pattern selects what the command runs (-bench
+    if it has one, else -run), that pattern and the command's packages, or
+    None when the command has neither flag."""
+    flags, pkgs = {}, []
     for i, a in enumerate(args):
-        if a == "-run" and i + 1 < len(args):
-            pattern = args[i + 1]
-        elif a.startswith("-run="):
-            pattern = a[len("-run="):]
-        elif a == "." or a.startswith("./"):
+        for flag in ("-run", "-bench"):
+            if a == flag and i + 1 < len(args):
+                flags[flag] = args[i + 1]
+            elif a.startswith(flag + "="):
+                flags[flag] = a[len(flag) + 1:]
+        if a == "." or a.startswith("./"):
             pkgs.append(a)
-    if pattern is None or any(a == "-bench" or a.startswith("-bench=") for a in args):
-        return None
-    return pattern, pkgs or ["."]
+    for flag in ("-bench", "-run"):
+        if flag in flags:
+            return flag, flags[flag], pkgs or ["."]
+    return None
 
 
 def alternatives(pattern):
@@ -63,33 +69,34 @@ def alternatives(pattern):
     return alts + [cur]
 
 
-def listed(alt, pkgs):
-    """Returns the test names `go test -list alt pkgs` prints."""
+def listed(alt, pkgs, prefixes):
+    """Returns the names with one of prefixes that `go test -list alt pkgs`
+    prints."""
     out = subprocess.run(["go", "test", "-list", alt] + pkgs,
                          capture_output=True, text=True)
     if out.returncode != 0:
         sys.exit(f"go test -list {alt!r} {' '.join(pkgs)} failed:\n{out.stdout}{out.stderr}")
-    return [l for l in out.stdout.splitlines()
-            if l.startswith(("Test", "Benchmark", "Fuzz", "Example"))]
+    return [l for l in out.stdout.splitlines() if l.startswith(prefixes)]
 
 
 def main():
     path = sys.argv[1] if len(sys.argv) > 1 else ".github/workflows/ci.yml"
     missing, checked = [], 0
     for args in go_test_commands(path):
-        found = run_pattern(args)
+        found = selection(args)
         if found is None:
             continue
-        pattern, pkgs = found
+        flag, pattern, pkgs = found
+        prefixes = ("Benchmark",) if flag == "-bench" else ("Test", "Benchmark", "Fuzz", "Example")
         for alt in alternatives(pattern):
             checked += 1
-            if not listed(alt, pkgs):
-                missing.append(f"-run alternative {alt!r} matches no test in {' '.join(pkgs)}")
+            if not listed(alt, pkgs, prefixes):
+                missing.append(f"{flag} alternative {alt!r} matches no {prefixes[0]} in {' '.join(pkgs)}")
     for m in missing:
         print(m, file=sys.stderr)
     if missing:
         sys.exit(1)
-    print(f"{checked} -run alternatives in {path}: each matches a test")
+    print(f"{checked} -run and -bench alternatives in {path}: each matches")
 
 
 if __name__ == "__main__":
