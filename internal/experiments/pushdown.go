@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"tensorbase/internal/core"
@@ -45,7 +46,11 @@ func Pushdown(cfg Config) ([]Row, error) {
 		Batch: 256,
 	}
 
+	// run times one plan over fresh scans: operators are single-use
+	// pipelines.
 	run := func(build func() (exec.Operator, error)) (time.Duration, int, error) {
+		q.Left = exec.NewMemScan(data.BoschSchema("s1", "v1"), d1)
+		q.Right = exec.NewMemScan(data.BoschSchema("s2", "v2"), d2)
 		start := time.Now()
 		op, err := build()
 		if err != nil {
@@ -58,22 +63,27 @@ func Pushdown(cfg Config) ([]Row, error) {
 		return time.Since(start), len(rows), nil
 	}
 
-	// Fresh scans per run: operators are single-use pipelines.
-	q.Left = exec.NewMemScan(data.BoschSchema("s1", "v1"), d1)
-	q.Right = exec.NewMemScan(data.BoschSchema("s2", "v2"), d2)
-	naiveLat, naiveRows, err := run(q.BuildNaive)
-	if err != nil {
-		return nil, err
+	// One run takes tens of milliseconds at quick scale, so a single
+	// timing is at the mercy of whatever else the machine runs. Alternate
+	// the plans and report each one's median of three.
+	const runs = 3
+	var naiveLats, pdLats [runs]time.Duration
+	var naiveRows, pdRows int
+	for i := range runs {
+		var err error
+		if naiveLats[i], naiveRows, err = run(q.BuildNaive); err != nil {
+			return nil, err
+		}
+		if pdLats[i], pdRows, err = run(q.BuildPushdown); err != nil {
+			return nil, err
+		}
+		if naiveRows != pdRows {
+			return nil, fmt.Errorf("experiments: plans disagree: naive %d rows, pushdown %d", naiveRows, pdRows)
+		}
 	}
-	q.Left = exec.NewMemScan(data.BoschSchema("s1", "v1"), d1)
-	q.Right = exec.NewMemScan(data.BoschSchema("s2", "v2"), d2)
-	pdLat, pdRows, err := run(q.BuildPushdown)
-	if err != nil {
-		return nil, err
-	}
-	if naiveRows != pdRows {
-		return nil, fmt.Errorf("experiments: plans disagree: naive %d rows, pushdown %d", naiveRows, pdRows)
-	}
+	slices.Sort(naiveLats[:])
+	slices.Sort(pdLats[:])
+	naiveLat, pdLat := naiveLats[runs/2], pdLats[runs/2]
 	speedup := float64(naiveLat) / float64(pdLat)
 	return []Row{
 		{Exp: "pushdown", Workload: "Bosch-FC", System: "join-then-infer", Batch: naiveRows, Latency: naiveLat, Status: "OK"},

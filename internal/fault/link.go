@@ -24,10 +24,10 @@ type Verdict struct {
 	Delay time.Duration
 }
 
-// Link models a lossy, reorderable network link for the replication and
-// shard transport. The sender calls Next for every outgoing frame and acts
-// on the verdict; all randomness comes from one seeded PRNG so a chaos
-// schedule is exactly reproducible. A nil *Link is a perfect network.
+// Link models a lossy, reorderable network link for the replication
+// stream. The sender calls Next for every outgoing frame and acts on the
+// verdict; all randomness comes from one seeded PRNG so a chaos schedule
+// is exactly reproducible. A nil *Link is a perfect network.
 //
 // Unlike Injector's named fault points, a Link is owned by a single
 // connection: drop/reorder/duplicate faults are properties of a wire, not

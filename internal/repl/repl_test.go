@@ -156,9 +156,15 @@ func TestReplicaResyncsFromSnapshot(t *testing.T) {
 	p := NewPrimary(db, PrimaryOptions{HeartbeatInterval: testHB})
 	t.Cleanup(p.Close)
 	r := newReplica(t, filepath.Join(t.TempDir(), "r.db"), p, nil)
-	waitConverged(t, db, r, 10*time.Second)
+	deadline := time.Now().Add(10 * time.Second)
+	waitConverged(t, db, r, time.Until(deadline))
 	if s := p.Stats(); s.Resyncs == 0 {
 		t.Fatalf("pre-ring history must arrive via resync: %+v", s)
+	}
+	// ApplyReplicated publishes the resync's CSN before the replica counts
+	// the resync, so convergence can be seen a moment before the counter.
+	for r.Stats().Resyncs == 0 && time.Now().Before(deadline) {
+		time.Sleep(2 * time.Millisecond)
 	}
 	if s := r.Stats(); s.Resyncs == 0 {
 		t.Fatalf("replica applied no resync: %+v", s)

@@ -347,9 +347,11 @@ func TestPinnedVsScatterCounters(t *testing.T) {
 }
 
 // TestKillRestartConvergence kills one shard: pinned reads for other
-// shards keep serving, scattered reads and pinned reads for the dead shard
-// fail retriably with ErrUnavailable, and a restart restores everything
-// from the shard's durable state.
+// shards keep serving, scattered reads, pinned reads and writes for the
+// dead shard fail retriably with ErrUnavailable, a write split across the
+// dead shard and a live one says it was partially applied, and a restart
+// restores everything from the shard's durable state — without the rows
+// the dead shard refused.
 func TestKillRestartConvergence(t *testing.T) {
 	const rows = 16
 	cl := newTestCluster(t, 4, rows)
@@ -373,6 +375,22 @@ func TestKillRestartConvergence(t *testing.T) {
 	if deadID < 0 || liveID < 0 {
 		t.Fatal("seed rows do not cover shards 1 and 2")
 	}
+	// Unused ids for the write probes: two owned by the dead shard, one by
+	// a live shard.
+	var newDead []int
+	newLive := -1
+	for i := 500; len(newDead) < 2 || newLive < 0; i++ {
+		switch ShardOf(table.IntVal(int64(i)), 4) {
+		case 1:
+			if len(newDead) < 2 {
+				newDead = append(newDead, i)
+			}
+		case 2:
+			if newLive < 0 {
+				newLive = i
+			}
+		}
+	}
 
 	if err := cl.Nodes()[1].(*LocalNode).Kill(); err != nil {
 		t.Fatal(err)
@@ -387,6 +405,15 @@ func TestKillRestartConvergence(t *testing.T) {
 	if _, err := cl.Exec(ctx, "SELECT COUNT(*) FROM tx", sess); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("scattered read with a dead shard = %v, want ErrUnavailable", err)
 	}
+	ins := fmt.Sprintf("INSERT INTO tx VALUES (%d, 0.5, 'eve', [1, 1, 1, 1])", newDead[0])
+	if _, err := cl.Exec(ctx, ins, sess); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("write for the dead shard = %v, want ErrUnavailable", err)
+	}
+	ins = fmt.Sprintf("INSERT INTO tx VALUES (%d, 0.5, 'eve', [1, 1, 1, 1]), (%d, 0.75, 'eve', [2, 2, 2, 2])", newDead[1], newLive)
+	_, err := cl.Exec(ctx, ins, sess)
+	if !errors.Is(err, ErrUnavailable) || !strings.Contains(err.Error(), "partially applied") {
+		t.Fatalf("write split across the dead and a live shard = %v, want a partially applied ErrUnavailable", err)
+	}
 
 	if err := cl.Nodes()[1].(*LocalNode).Restart(); err != nil {
 		t.Fatal(err)
@@ -395,8 +422,8 @@ func TestKillRestartConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Rows[0][0].Int; got != rows {
-		t.Fatalf("count after restart = %d, want %d", got, rows)
+	if got := res.Rows[0][0].Int; got != rows+1 {
+		t.Fatalf("count after restart = %d, want %d (the seed plus the live shard's row)", got, rows+1)
 	}
 }
 

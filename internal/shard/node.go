@@ -10,11 +10,11 @@ import (
 	"tensorbase/internal/nn"
 )
 
-// Node is one shard's serving endpoint, local or remote. floor is the
-// session's read-your-writes floor for this shard: the minimum committed
-// CSN the read's snapshot must include. It is checked once, on the DB that
-// serves the read; a shard behind it fails with engine.ErrLag, and a down
-// node fails with ErrUnavailable.
+// Node is one shard's serving endpoint. floor is the session's
+// read-your-writes floor for this shard: the minimum committed CSN the
+// read's snapshot must include. It is checked once, on the DB that serves
+// the read; a shard behind it fails with engine.ErrLag, and a down node
+// fails with ErrUnavailable.
 type Node interface {
 	Name() string
 
@@ -27,9 +27,6 @@ type Node interface {
 
 	// LoadModel registers (or upgrades) a model on this shard.
 	LoadModel(m *nn.Model, accuracy float64) error
-
-	// Healthy reports whether the node is believed reachable.
-	Healthy() bool
 }
 
 // LocalNode is an in-process shard: a full engine at its own path. Kill and
@@ -60,11 +57,7 @@ func NewLocalNode(name, path string, opts engine.Options) (*LocalNode, error) {
 // Name implements Node.
 func (n *LocalNode) Name() string { return n.name }
 
-// Healthy implements Node.
-func (n *LocalNode) Healthy() bool { return n.alive.Load() }
-
-// DB exposes the underlying engine (nil while killed), for tests and for
-// wiring a TCP server in front of the same store.
+// DB exposes the underlying engine (nil while killed).
 func (n *LocalNode) DB() *engine.DB {
 	if !n.alive.Load() {
 		return nil

@@ -1,8 +1,8 @@
-// Package shard is the hash-sharded scatter-gather serving tier: N shard
-// nodes — each a complete engine, in-process or behind a TCP listener —
-// hold hash-disjoint slices of every sharded table, partitioned by the hash
-// of a per-table key column (by convention the first schema column). A
-// Cluster fronts the nodes with a coordinator that plans each statement:
+// Package shard is the hash-sharded scatter-gather serving tier: N
+// in-process shard nodes, each a complete engine, hold hash-disjoint
+// slices of every sharded table, partitioned by the hash of a per-table key
+// column (by convention the first schema column). A Cluster fronts the
+// nodes with a coordinator that plans each statement:
 //
 //   - a SELECT whose WHERE pins the shard key with `=` routes to exactly
 //     one shard (the pinned fast path, counted separately from scatters);
@@ -10,12 +10,6 @@
 //     shard runs and the merge that combines their results through the
 //     engine's own SELECT compiler;
 //   - an INSERT splits its rows by key hash, DDL and model loads broadcast.
-//
-// Remote traffic runs over wire.FrameConn, so every response stream is
-// CRC-framed and sequence-checked, and a fault.Link on the server's send
-// side exercises drops, duplicates, reorders, and partitions; clients
-// retry broken read streams on fresh connections and surface writes'
-// transport errors instead (a write retry could double-apply).
 //
 // Sessions keep a per-shard read-your-writes floor: each write records the
 // CSN the owning shard committed, and later reads require that shard's
@@ -34,9 +28,9 @@ import (
 	"tensorbase/internal/table"
 )
 
-// ErrUnavailable reports a shard node that is down, unreachable, or kept
-// failing across retries. It is retriable: the serving layer maps it to a
-// 503 with a Retry-After hint.
+// ErrUnavailable reports a shard node that is down or died mid-statement.
+// It is retriable: the serving layer maps it to a 503 with a Retry-After
+// hint.
 var ErrUnavailable = errors.New("shard: node unavailable")
 
 // HashValue hashes a shard-key value deterministically (FNV-1a over the

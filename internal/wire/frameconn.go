@@ -1,6 +1,6 @@
-// Package wire is the network transport shared by the replication stream
-// and the shard tier: one stream framer (FrameConn) and one field codec
-// (AppendBytes/ReadBytes) for the messages inside its frames.
+// Package wire holds the replication stream's framer (FrameConn) and the
+// field codec (AppendBytes/ReadBytes) that both the replication messages
+// inside its frames and the WAL's records are encoded with.
 package wire
 
 import (
@@ -22,7 +22,7 @@ import (
 //	u32 len | u64 seq | payload | u32 CRC32-C(seq|payload)
 //
 // The sender routes every frame through an optional fault.Link, the
-// lossy-wire model the replication and shard tests drive: drops are silent,
+// lossy-wire model the replication tests drive: drops are silent,
 // a held frame is released after its successor (one-slot reorder),
 // duplicates are written twice, delays sleep in-line. The receiver enforces
 // the sequence discipline those faults attack: a duplicate (seq ≤ last

@@ -138,7 +138,7 @@ func TestFrameConnRejectsInsaneLength(t *testing.T) {
 
 // TestFrameConnFaultSoak pushes a few hundred frames through a seeded lossy
 // link, reconnecting (fresh pipe, fresh seq space) whenever the stream
-// breaks — the retry discipline shard clients use. Every frame eventually
+// breaks — the retry discipline replicas use. Every frame eventually
 // arrives exactly once per accepted attempt and in order per connection.
 func TestFrameConnFaultSoak(t *testing.T) {
 	link := fault.NewLink(42)
