@@ -354,7 +354,7 @@ func seedDemoCluster(cl *shard.Cluster) error {
 	}
 	ctx := context.Background()
 	create := &sql.CreateTable{Name: "txns", Cols: schema.Cols}
-	if _, err := cl.Exec(ctx, sql.Render(create), nil); err != nil {
+	if _, err := cl.Run(ctx, create, nil); err != nil {
 		return err
 	}
 	ins := &sql.Insert{Table: "txns", Rows: make([][]sql.Literal, len(rows))}
@@ -365,7 +365,7 @@ func seedDemoCluster(cl *shard.Cluster) error {
 		}
 		ins.Rows[i] = lits
 	}
-	if _, err := cl.Exec(ctx, sql.Render(ins), nil); err != nil {
+	if _, err := cl.Run(ctx, ins, nil); err != nil {
 		return err
 	}
 	m := nn.FraudFC(rand.New(rand.NewSource(2)), 32)

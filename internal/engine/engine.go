@@ -830,15 +830,27 @@ func (db *DB) QueryContext(ctx context.Context, sqlText string) (*Result, error)
 	return db.ExecContext(ctx, sqlText)
 }
 
-// ExecContext parses and runs one SQL statement under ctx. Cancelling the
-// context (or exceeding its deadline, or Options.QueryTimeout) stops the
-// query within one batch of work: operators drop their buffer-pool pins,
-// compute workers drain, memory reservations are released, and the call
-// returns ctx's error (context.Canceled or context.DeadlineExceeded). A
-// panic anywhere in the statement's execution is contained as a query error
-// carrying the panic value and stack; the database remains usable.
-func (db *DB) ExecContext(ctx context.Context, sqlText string) (res *Result, err error) {
-	res, _, err = db.exec(ctx, sqlText, false)
+// ExecContext parses one SQL statement and runs it under ctx (see Run). A
+// statement that does not parse counts as a failed query.
+func (db *DB) ExecContext(ctx context.Context, sqlText string) (*Result, error) {
+	st, err := sql.Parse(sqlText)
+	if err != nil {
+		db.mQueries.Inc()
+		db.mQueryErrors.Inc()
+		return nil, err
+	}
+	return db.Run(ctx, st)
+}
+
+// Run runs one parsed statement, which it only reads, under ctx.
+// Cancelling the context (or exceeding its deadline, or
+// Options.QueryTimeout) stops the query within one batch of work:
+// operators drop their buffer-pool pins, compute workers drain, memory
+// reservations are released, and the call returns ctx's error. A panic in
+// the statement's execution is contained as a query error carrying the
+// panic value and stack; the database remains usable.
+func (db *DB) Run(ctx context.Context, st sql.Statement) (*Result, error) {
+	res, _, err := db.exec(ctx, st, false)
 	return res, err
 }
 
@@ -847,9 +859,9 @@ func (db *DB) ExecContext(ctx context.Context, sqlText string) (res *Result, err
 // With a slow-query threshold configured, SELECTs are instrumented even
 // outside EXPLAIN ANALYZE so a slow statement's log line carries real
 // per-operator spans.
-func (db *DB) exec(ctx context.Context, sqlText string, profile bool) (*Result, []exec.StageStat, error) {
+func (db *DB) exec(ctx context.Context, st sql.Statement, profile bool) (*Result, []exec.StageStat, error) {
 	start := time.Now()
-	res, stats, err := db.execInner(ctx, sqlText, profile || db.slow != nil)
+	res, stats, err := db.execInner(ctx, st, profile || db.slow != nil)
 	elapsed := time.Since(start)
 	db.mQueries.Inc()
 	db.mQueryLatency.Observe(elapsed)
@@ -857,15 +869,11 @@ func (db *DB) exec(ctx context.Context, sqlText string, profile bool) (*Result, 
 		db.mQueryErrors.Inc()
 	}
 	if db.slow != nil && elapsed >= db.slow.Threshold() {
-		var rows int64
+		var rows int64 // result rows for a SELECT, affected rows otherwise
 		if res != nil {
-			if res.Schema != nil {
-				rows = int64(len(res.Rows))
-			} else {
-				rows = res.RowsAffected
-			}
+			rows = int64(len(res.Rows)) + res.RowsAffected
 		}
-		db.slow.Observe(sqlText, elapsed, rows, exec.SummarizeProfile(stats))
+		db.slow.Observe(sql.Render(st), elapsed, rows, exec.SummarizeProfile(stats))
 	}
 	if !profile {
 		stats = nil
@@ -873,7 +881,7 @@ func (db *DB) exec(ctx context.Context, sqlText string, profile bool) (*Result, 
 	return res, stats, err
 }
 
-func (db *DB) execInner(ctx context.Context, sqlText string, profile bool) (res *Result, stats []exec.StageStat, err error) {
+func (db *DB) execInner(ctx context.Context, st sql.Statement, profile bool) (res *Result, stats []exec.StageStat, err error) {
 	if db.opts.QueryTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, db.opts.QueryTimeout)
@@ -889,10 +897,6 @@ func (db *DB) execInner(ctx context.Context, sqlText string, profile bool) (res 
 	}()
 	if cerr := tok.Err(); cerr != nil {
 		return nil, nil, cerr
-	}
-	st, err := sql.Parse(sqlText)
-	if err != nil {
-		return nil, nil, err
 	}
 	// Statement-scoped locking: everything a WRITE statement touches is
 	// acquired up front in deterministic order (DDL latch, then tables by
@@ -1074,24 +1078,9 @@ func (db *DB) execInsert(st *sql.Insert, tok *lifecycle.Token) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	schema := te.Heap.Schema()
-	rows := make([]table.Tuple, 0, len(st.Rows))
-	for ri, row := range st.Rows {
-		if err := tok.Err(); err != nil {
-			return nil, err
-		}
-		if len(row) != schema.Len() {
-			return nil, fmt.Errorf("engine: row %d has %d values, table %q has %d columns", ri, len(row), st.Table, schema.Len())
-		}
-		tup := make(table.Tuple, len(row))
-		for ci, lit := range row {
-			v, err := coerce(lit.Value, schema.Cols[ci].Type)
-			if err != nil {
-				return nil, fmt.Errorf("engine: row %d column %q: %w", ri, schema.Cols[ci].Name, err)
-			}
-			tup[ci] = v
-		}
-		rows = append(rows, tup)
+	rows, err := InsertTuples(st, te.Heap.Schema())
+	if err != nil {
+		return nil, err
 	}
 	inserted, err := db.insertTuples(st.Table, te.Heap, rows, tok)
 	if err != nil {
@@ -1100,8 +1089,31 @@ func (db *DB) execInsert(st *sql.Insert, tok *lifecycle.Token) (*Result, error) 
 	return &Result{RowsAffected: inserted}, nil
 }
 
-// coerce converts a literal to the column type, allowing INT → DOUBLE.
-func coerce(v table.Value, want table.ColType) (table.Value, error) {
+// InsertTuples is the one INSERT row check: each row's arity against
+// schema, then each value's coercion to its column type. It returns the
+// tuples the table stores.
+func InsertTuples(st *sql.Insert, schema *table.Schema) ([]table.Tuple, error) {
+	rows := make([]table.Tuple, 0, len(st.Rows))
+	for ri, row := range st.Rows {
+		if len(row) != schema.Len() {
+			return nil, fmt.Errorf("engine: row %d has %d values, table %q has %d columns", ri, len(row), st.Table, schema.Len())
+		}
+		tup := make(table.Tuple, len(row))
+		for ci, lit := range row {
+			v, err := Coerce(lit.Value, schema.Cols[ci].Type)
+			if err != nil {
+				return nil, fmt.Errorf("engine: row %d column %q: %w", ri, schema.Cols[ci].Name, err)
+			}
+			tup[ci] = v
+		}
+		rows = append(rows, tup)
+	}
+	return rows, nil
+}
+
+// Coerce converts a literal to the column type, allowing INT → DOUBLE: the
+// one rule for what a column stores, and so for where a shard key lands.
+func Coerce(v table.Value, want table.ColType) (table.Value, error) {
 	if v.Type == want {
 		return v, nil
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 
 	"tensorbase/internal/ann"
 	"tensorbase/internal/exec"
@@ -25,7 +26,7 @@ func (db *DB) ExecProfiled(sqlText string) (*Result, []exec.StageStat, error) {
 	if _, ok := st.(*sql.Select); !ok {
 		return nil, nil, fmt.Errorf("engine: ExecProfiled supports SELECT only, got %T", st)
 	}
-	return db.exec(context.Background(), sqlText, true)
+	return db.exec(context.Background(), st, true)
 }
 
 // runSelect resolves a SELECT's source and runs the compiler over it. The
@@ -107,14 +108,16 @@ func SplitSelect(st *sql.Select, schema *table.Schema) (shard *sql.Select, merge
 		for _, g := range list.groupBy {
 			shard.Items = append(shard.Items, sql.SelectItem{Col: g})
 		}
-		index := make(map[string]int)
+		// A partial is named "#<position>", which no identifier spells,
+		// so it clashes with no group column; the merge reads positions.
+		index := make(map[sql.AggExpr]int)
 		partial := func(fn, col string) int {
-			agg := &sql.AggExpr{Fn: fn, Col: col}
-			i, ok := index[agg.OutName()]
+			agg := sql.AggExpr{Fn: fn, Col: col}
+			i, ok := index[agg]
 			if !ok {
 				i = len(shard.Items)
-				index[agg.OutName()] = i
-				shard.Items = append(shard.Items, sql.SelectItem{Agg: agg})
+				index[agg] = i
+				shard.Items = append(shard.Items, sql.SelectItem{Agg: &sql.AggExpr{Fn: fn, Col: col, As: "#" + strconv.Itoa(i)}})
 			}
 			return i
 		}
@@ -461,7 +464,7 @@ func compileWhere(schema *table.Schema, c *sql.Condition) (exec.Predicate, error
 		return nil, fmt.Errorf("engine: unknown column %q", c.Col)
 	}
 	colType := schema.Cols[idx].Type
-	lit, err := coerce(c.Lit.Value, colType)
+	lit, err := Coerce(c.Lit.Value, colType)
 	if err != nil {
 		// Allow comparing INT columns with float literals and vice versa.
 		if colType == table.Int64 && c.Lit.Value.Type == table.Float64 {

@@ -14,6 +14,7 @@ import (
 	"tensorbase/internal/engine"
 	"tensorbase/internal/nn"
 	"tensorbase/internal/shard"
+	"tensorbase/internal/sql"
 	"tensorbase/internal/table"
 )
 
@@ -77,7 +78,7 @@ func demoInsert(rows int) string {
 // every read fails with a wrapped engine.ErrLag.
 type laggingNode struct{ *shard.LocalNode }
 
-func (n laggingNode) Query(context.Context, string, uint64) (*engine.Result, error) {
+func (n laggingNode) Query(context.Context, *sql.Select, uint64) (*engine.Result, error) {
 	return nil, fmt.Errorf("%w: %s held behind", engine.ErrLag, n.Name())
 }
 

@@ -57,9 +57,7 @@ func NewLocalCluster(dir string, n int, opts engine.Options) (*Cluster, error) {
 	for i := range nodes {
 		ln, err := NewLocalNode(fmt.Sprintf("shard-%d", i), filepath.Join(dir, fmt.Sprintf("shard-%d", i)), opts)
 		if err != nil {
-			for _, prev := range nodes[:i] {
-				prev.(*LocalNode).Close()
-			}
+			(&Cluster{nodes: nodes[:i]}).Close()
 			return nil, err
 		}
 		nodes[i] = ln
@@ -80,9 +78,6 @@ func NewLocalCluster(dir string, n int, opts engine.Options) (*Cluster, error) {
 // Nodes returns the cluster's nodes in shard order.
 func (c *Cluster) Nodes() []Node { return c.nodes }
 
-// Map returns the shard map.
-func (c *Cluster) Map() *catalog.ShardMap { return c.smap }
-
 // PinnedCount and ScatterCount report how many reads took each path.
 func (c *Cluster) PinnedCount() uint64  { return c.pinned.Load() }
 func (c *Cluster) ScatterCount() uint64 { return c.scattered.Load() }
@@ -99,14 +94,12 @@ func (c *Cluster) RegisterMetrics(reg *obs.Registry) {
 		func() float64 { return float64(c.scattered.Load()) })
 }
 
-// Close shuts down every node that supports closing.
+// Close shuts down every node and returns the first failure.
 func (c *Cluster) Close() error {
 	var first error
 	for _, n := range c.nodes {
-		if cl, ok := n.(interface{ Close() error }); ok {
-			if err := cl.Close(); err != nil && first == nil {
-				first = err
-			}
+		if err := n.Close(); err != nil && first == nil {
+			first = err
 		}
 	}
 	return first
@@ -146,12 +139,19 @@ func (s *Session) observe(i int, csn uint64) {
 	}
 }
 
-// Exec parses and runs one SQL statement against the cluster.
+// Exec parses one SQL statement and runs it against the cluster: the
+// cluster's only parse.
 func (c *Cluster) Exec(ctx context.Context, sqlText string, sess *Session) (*engine.Result, error) {
 	st, err := sql.Parse(sqlText)
 	if err != nil {
 		return nil, err
 	}
+	return c.Run(ctx, st, sess)
+}
+
+// Run plans and runs one parsed statement against the cluster. The shards
+// only read st, so it may be shared.
+func (c *Cluster) Run(ctx context.Context, st sql.Statement, sess *Session) (*engine.Result, error) {
 	switch st := st.(type) {
 	case *sql.Select:
 		return c.Select(ctx, st, sess)
@@ -160,7 +160,7 @@ func (c *Cluster) Exec(ctx context.Context, sqlText string, sess *Session) (*eng
 	case *sql.CreateTable:
 		return c.createTable(ctx, st, sess)
 	case *sql.DropTable:
-		res, err := c.broadcastExec(ctx, sql.Render(st), sess)
+		res, err := c.execEach(ctx, sess, func(int) sql.Statement { return st })
 		if err == nil {
 			c.smap.Drop(st.Name)
 		}
@@ -192,18 +192,18 @@ func (c *Cluster) fanOut(f func(i int, n Node) error) error {
 }
 
 // execEach runs stmt(i) on shard i for every shard in parallel, skipping
-// shards whose statement is "", raises the session's floor on each shard
+// shards whose statement is nil, raises the session's floor on each shard
 // that commits, and sums the affected rows. Any failure fails the statement
 // (shards that already applied theirs stay applied — broadcast DDL and
 // split INSERTs are not atomic across shards).
-func (c *Cluster) execEach(ctx context.Context, sess *Session, stmt func(i int) string) (*engine.Result, error) {
+func (c *Cluster) execEach(ctx context.Context, sess *Session, stmt func(i int) sql.Statement) (*engine.Result, error) {
 	affected := make([]int64, len(c.nodes))
 	err := c.fanOut(func(i int, n Node) error {
-		text := stmt(i)
-		if text == "" {
+		st := stmt(i)
+		if st == nil {
 			return nil
 		}
-		res, csn, err := n.Exec(ctx, text)
+		res, csn, err := n.Exec(ctx, st)
 		if err != nil {
 			return err
 		}
@@ -221,11 +221,6 @@ func (c *Cluster) execEach(ctx context.Context, sess *Session, stmt func(i int) 
 	return total, nil
 }
 
-// broadcastExec runs one write statement on every shard.
-func (c *Cluster) broadcastExec(ctx context.Context, sqlText string, sess *Session) (*engine.Result, error) {
-	return c.execEach(ctx, sess, func(int) string { return sqlText })
-}
-
 // createTable broadcasts the DDL and records the placement: the first
 // column is the shard key.
 func (c *Cluster) createTable(ctx context.Context, st *sql.CreateTable, sess *Session) (*engine.Result, error) {
@@ -236,7 +231,7 @@ func (c *Cluster) createTable(ctx context.Context, st *sql.CreateTable, sess *Se
 	if err != nil {
 		return nil, err
 	}
-	res, err := c.broadcastExec(ctx, sql.Render(st), sess)
+	res, err := c.execEach(ctx, sess, func(int) sql.Statement { return st })
 	if err != nil {
 		return nil, err
 	}
@@ -244,35 +239,29 @@ func (c *Cluster) createTable(ctx context.Context, st *sql.CreateTable, sess *Se
 	return res, nil
 }
 
-// insert splits the VALUES rows by hash of the key column and sends each
-// shard its slice. The split is not atomic: a failing shard leaves other
-// shards' rows applied, and the error says so.
+// insert checks every row as a single node would, before any shard applies
+// one, then sends each shard the rows its key hashes to. A shard failing to
+// apply its slice leaves the others' applied, and the error says so.
 func (c *Cluster) insert(ctx context.Context, st *sql.Insert, sess *Session) (*engine.Result, error) {
 	info, ok := c.smap.Info(st.Table)
 	if !ok {
 		return nil, fmt.Errorf("%w %q", catalog.ErrNoTable, st.Table)
 	}
+	tuples, err := engine.InsertTuples(st, info.Schema)
+	if err != nil {
+		return nil, err
+	}
 	keyIdx := info.Schema.ColIndex(info.Key)
-	if keyIdx < 0 {
-		return nil, fmt.Errorf("shard: table %q lost key column %q", st.Table, info.Key)
-	}
 	parts := make([][][]sql.Literal, len(c.nodes))
-	for _, row := range st.Rows {
-		if keyIdx >= len(row) {
-			return nil, fmt.Errorf("shard: row has %d values, key column is #%d", len(row), keyIdx+1)
-		}
-		key, err := coerceKey(row[keyIdx].Value, info.Schema.Cols[keyIdx].Type)
-		if err != nil {
-			return nil, err
-		}
-		i := ShardOf(key, len(c.nodes))
-		parts[i] = append(parts[i], row)
+	for ri, tup := range tuples {
+		i := ShardOf(tup[keyIdx], len(c.nodes))
+		parts[i] = append(parts[i], st.Rows[ri])
 	}
-	res, err := c.execEach(ctx, sess, func(i int) string {
+	res, err := c.execEach(ctx, sess, func(i int) sql.Statement {
 		if len(parts[i]) == 0 {
-			return ""
+			return nil
 		}
-		return sql.Render(&sql.Insert{Table: st.Table, Rows: parts[i]})
+		return &sql.Insert{Table: st.Table, Rows: parts[i]}
 	})
 	if err != nil {
 		return nil, fmt.Errorf("insert split partially applied: %w", err)
@@ -293,10 +282,10 @@ func (c *Cluster) Select(ctx context.Context, st *sql.Select, sess *Session) (*e
 	}
 	if lit, pinned := st.KeyPin(info.Key); pinned {
 		keyIdx := info.Schema.ColIndex(info.Key)
-		if key, err := coerceKey(lit.Value, info.Schema.Cols[keyIdx].Type); err == nil {
+		if key, err := engine.Coerce(lit.Value, info.Schema.Cols[keyIdx].Type); err == nil {
 			i := ShardOf(key, len(c.nodes))
 			c.pinned.Add(1)
-			res, err := c.nodes[i].Query(ctx, sql.Render(st), sess.floor(i))
+			res, err := c.nodes[i].Query(ctx, st, sess.floor(i))
 			if err != nil {
 				return nil, fmt.Errorf("shard %s: %w", c.nodes[i].Name(), err)
 			}
@@ -311,10 +300,9 @@ func (c *Cluster) Select(ctx context.Context, st *sql.Select, sess *Session) (*e
 	if err != nil {
 		return nil, err
 	}
-	text := sql.Render(frag)
 	parts := make([]*engine.Result, len(c.nodes))
 	if err := c.fanOut(func(i int, n Node) (err error) {
-		parts[i], err = n.Query(ctx, text, sess.floor(i))
+		parts[i], err = n.Query(ctx, frag, sess.floor(i))
 		return err
 	}); err != nil {
 		return nil, err

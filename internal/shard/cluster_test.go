@@ -7,21 +7,25 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"tensorbase/internal/engine"
 	"tensorbase/internal/nn"
 	"tensorbase/internal/obs"
+	"tensorbase/internal/sql"
 	"tensorbase/internal/table"
 )
 
-// seedSQL returns the statements that build the test table on any engine
-// or cluster: id INT (the shard key), amount DOUBLE, who TEXT, f VECTOR.
-// Amounts are distinct multiples of 0.25, so partial SUM/AVG across shards
-// re-associate without rounding — scatter results stay bit-identical to
-// single-node (arbitrary doubles would not: float addition is not
-// associative, which DESIGN.md calls out).
+// seedSQL returns the statements that build the test tables on any engine
+// or cluster: tx, with rows rows of id INT (the shard key), amount DOUBLE,
+// who TEXT, f VECTOR, and clashSQL's table p. Amounts are distinct
+// multiples of 0.25, so partial SUM/AVG across shards re-associate without
+// rounding — scatter results stay bit-identical to single-node (arbitrary
+// doubles would not: float addition is not associative, which DESIGN.md
+// calls out).
 func seedSQL(rows int) []string {
 	stmts := []string{"CREATE TABLE tx (id INT, amount DOUBLE, who TEXT, f VECTOR)"}
 	people := []string{"alice", "bob", "carol"}
@@ -36,7 +40,7 @@ func seedSQL(rows int) []string {
 			i, fmt.Sprintf("%g", amount), people[i%len(people)], i, 2*i%7, (i*i)%11, 3+i%5)
 	}
 	stmts = append(stmts, b.String())
-	return stmts
+	return append(stmts, clashSQL...)
 }
 
 // testModel is a tiny deterministic FC model over the 4-dim feature column.
@@ -87,6 +91,20 @@ func newTestCluster(t *testing.T, shards, rows int) *Cluster {
 		t.Fatal(err)
 	}
 	return cl
+}
+
+// mustSelect parses q, which must be a SELECT.
+func mustSelect(t *testing.T, q string) *sql.Select {
+	t.Helper()
+	st, err := sql.Parse(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, ok := st.(*sql.Select)
+	if !ok {
+		t.Fatalf("%s: %T, want a SELECT", q, st)
+	}
+	return sel
 }
 
 // mustEqualResults asserts bit-identical schema and rows.
@@ -152,6 +170,10 @@ var matrixQueries = []string{
 	"SELECT id, " + distItem + " FROM tx WHERE id = 7",
 	"SELECT id, PREDICT(m4, f), " + distItem + " FROM tx ORDER BY distance LIMIT 3",
 	"WITH b AS (SELECT id, f FROM tx WHERE id < 20) SELECT id, " + distItem + " FROM b ORDER BY distance LIMIT 3",
+	// Group columns named like the partials a shard computes: COUNT(*)
+	// would be `count`, SUM(id) would be `sum_id`.
+	"SELECT count, AVG(id) FROM p GROUP BY count ORDER BY count",
+	"SELECT sum_id, AVG(id), COUNT(*) FROM p GROUP BY sum_id ORDER BY sum_id",
 }
 
 func TestScatterMatchesSingleNode(t *testing.T) {
@@ -262,29 +284,20 @@ var errorParityQueries = []string{
 }
 
 // clashSQL builds table p, whose stored columns are named prediction,
-// distance and count.
+// distance, count and sum_id.
 var clashSQL = []string{
-	"CREATE TABLE p (id INT, prediction DOUBLE, distance DOUBLE, count INT, f VECTOR)",
-	"INSERT INTO p VALUES (0, 42, 42, 1, [1, 2, 3, 4]), (1, 42, 42, 2, [2, 3, 4, 5]), (2, 42, 42, 3, [3, 4, 5, 6])",
+	"CREATE TABLE p (id INT, prediction DOUBLE, distance DOUBLE, count INT, sum_id INT, f VECTOR)",
+	"INSERT INTO p VALUES (0, 42, 42, 1, 10, [1, 2, 3, 4]), (1, 42, 42, 2, 20, [2, 3, 4, 5]), (2, 42, 42, 3, 10, [3, 4, 5, 6]), " +
+		"(3, 42, 42, 1, 20, [4, 5, 6, 7]), (4, 42, 42, 2, 10, [5, 6, 7, 8]), (5, 42, 42, 1, 10, [6, 7, 8, 9])",
 }
 
 func TestScatterErrorsMatchSingleNode(t *testing.T) {
 	const rows = 24
 	ref := newRefEngine(t, rows)
-	for _, s := range clashSQL {
-		if _, err := ref.Exec(s); err != nil {
-			t.Fatal(err)
-		}
-	}
 	for _, shards := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			cl := newTestCluster(t, shards, rows)
 			sess := cl.NewSession()
-			for _, s := range clashSQL {
-				if _, err := cl.Exec(context.Background(), s, sess); err != nil {
-					t.Fatal(err)
-				}
-			}
 			for _, q := range errorParityQueries {
 				_, refErr := ref.Query(q)
 				if refErr == nil {
@@ -310,6 +323,100 @@ func TestScatterErrorsMatchSingleNode(t *testing.T) {
 				t.Fatalf("cluster %s: %v, want the gathered-rows refusal", q, err)
 			}
 		})
+	}
+}
+
+// malformedInserts each carry one row a single node refuses, among rows
+// that hash to several shards.
+var malformedInserts = []string{
+	"INSERT INTO tx VALUES (200, 0.5, 'x', [1, 1, 1, 1]), (201, 0.5, 'x'), (202, 0.5, 'x', [1, 1, 1, 1]), (203, 0.5, 'x', [1, 1, 1, 1])",
+	"INSERT INTO tx VALUES (300, 0.5, 'x', [1, 1, 1, 1]), (301, 'x', 'x', [1, 1, 1, 1]), (302, 0.5, 'x', [1, 1, 1, 1]), (303, 0.5, 'x', [1, 1, 1, 1])",
+	"INSERT INTO tx VALUES ('x', 0.5, 'x', [1, 1, 1, 1])",
+}
+
+// TestSplitInsertRefusedWhole: an INSERT a single node refuses applies no
+// row on any shard, and the cluster refuses it in the single node's words,
+// row index included.
+func TestSplitInsertRefusedWhole(t *testing.T) {
+	const rows = 24
+	ref := newRefEngine(t, rows)
+	for _, shards := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cl := newTestCluster(t, shards, rows)
+			sess := cl.NewSession()
+			for _, q := range malformedInserts {
+				_, refErr := ref.Exec(q)
+				if refErr == nil {
+					t.Fatalf("ref %s: no error", q)
+				}
+				_, err := cl.Exec(context.Background(), q, sess)
+				if err == nil || err.Error() != refErr.Error() {
+					t.Fatalf("cluster %s: %v, want %q", q, err, refErr)
+				}
+			}
+			res, err := cl.Exec(context.Background(), "SELECT COUNT(*) FROM tx", sess)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.Rows[0][0].Int; got != rows {
+				t.Fatalf("COUNT(*) after the refused INSERTs = %d, want %d", got, rows)
+			}
+		})
+	}
+}
+
+// TestSharedStatementIsReadOnly: a scatter hands one parsed statement to
+// every shard at once. Eight clients run the same two parsed statements on
+// four shards, a PREDICT+DISTANCE scan and a grouped aggregate; every
+// answer matches a single node's, and each statement still deep-equals a
+// fresh parse. Under -race this also shows no shard writes the statement.
+func TestSharedStatementIsReadOnly(t *testing.T) {
+	const rows = 24
+	queries := []string{
+		"SELECT id, PREDICT(m4, f), " + distItem + " FROM tx ORDER BY distance LIMIT 5",
+		"SELECT who, COUNT(*), SUM(amount), AVG(amount) FROM tx GROUP BY who ORDER BY who",
+	}
+	ref := newRefEngine(t, rows)
+	cl := newTestCluster(t, 4, rows)
+	stmts := make([]*sql.Select, len(queries))
+	for i, q := range queries {
+		stmts[i] = mustSelect(t, q)
+	}
+	const clients = 8
+	results := make([][]*engine.Result, clients)
+	errs := make([]error, clients)
+	var wg sync.WaitGroup
+	for c := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, st := range stmts {
+				res, err := cl.Run(context.Background(), st, nil)
+				if err != nil {
+					errs[c] = err
+					return
+				}
+				results[c] = append(results[c], res)
+			}
+		}()
+	}
+	wg.Wait()
+	for c := range results {
+		if errs[c] != nil {
+			t.Fatalf("client %d: %v", c, errs[c])
+		}
+	}
+	for i, q := range queries {
+		want, err := ref.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := range results {
+			mustEqualResults(t, q, want, results[c][i])
+		}
+		if fresh := mustSelect(t, q); !reflect.DeepEqual(stmts[i], fresh) {
+			t.Fatalf("%s: the shared statement changed: %+v, fresh parse %+v", q, stmts[i], fresh)
+		}
 	}
 }
 
@@ -454,7 +561,7 @@ func TestSessionFloors(t *testing.T) {
 
 	// A floor the shard has not reached yet is a typed, retriable lag.
 	node := cl.Nodes()[owner]
-	if _, err := node.Query(ctx, "SELECT id FROM tx", sess.floor(owner)+1000); !errors.Is(err, engine.ErrLag) {
+	if _, err := node.Query(ctx, mustSelect(t, "SELECT id FROM tx"), sess.floor(owner)+1000); !errors.Is(err, engine.ErrLag) {
 		t.Fatalf("future floor = %v, want ErrLag", err)
 	}
 }
@@ -469,14 +576,14 @@ func TestHashDeterminism(t *testing.T) {
 	if HashValue(table.TextVal("alice")) == HashValue(table.TextVal("bob")) {
 		t.Fatal("suspicious text collision in test vectors")
 	}
-	v, err := coerceKey(table.IntVal(3), table.Float64)
+	v, err := engine.Coerce(table.IntVal(3), table.Float64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v.Type != table.Float64 || v.Float != 3.0 {
 		t.Fatalf("coerced key = %v", v)
 	}
-	if _, err := coerceKey(table.FloatVal(1.5), table.Int64); err == nil {
+	if _, err := engine.Coerce(table.FloatVal(1.5), table.Int64); err == nil {
 		t.Fatal("1.5 must not coerce to an INT key")
 	}
 	spread := map[int]bool{}

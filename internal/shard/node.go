@@ -8,25 +8,30 @@ import (
 
 	"tensorbase/internal/engine"
 	"tensorbase/internal/nn"
+	"tensorbase/internal/sql"
 )
 
-// Node is one shard's serving endpoint. floor is the session's
-// read-your-writes floor for this shard: the minimum committed CSN the
-// read's snapshot must include. It is checked once, on the DB that serves
-// the read; a shard behind it fails with engine.ErrLag, and a down node
-// fails with ErrUnavailable.
+// Node is one shard's serving endpoint. It takes statements the
+// coordinator parsed and planned, and only reads them. floor is the
+// session's read-your-writes floor for this shard: the minimum committed
+// CSN the read's snapshot must include. It is checked once, on the DB that
+// serves the read; a shard behind it fails with engine.ErrLag, and a down
+// node fails with ErrUnavailable.
 type Node interface {
 	Name() string
 
-	// Query runs one read-only statement on a snapshot at or past floor.
-	Query(ctx context.Context, sqlText string, floor uint64) (*engine.Result, error)
+	// Query runs one read on a snapshot at or past floor.
+	Query(ctx context.Context, st *sql.Select, floor uint64) (*engine.Result, error)
 
 	// Exec runs one write statement and returns its result plus the
 	// node's committed CSN afterwards — the session's new floor.
-	Exec(ctx context.Context, sqlText string) (*engine.Result, uint64, error)
+	Exec(ctx context.Context, st sql.Statement) (*engine.Result, uint64, error)
 
 	// LoadModel registers (or upgrades) a model on this shard.
 	LoadModel(m *nn.Model, accuracy float64) error
+
+	// Close shuts the node down.
+	Close() error
 }
 
 // LocalNode is an in-process shard: a full engine at its own path. Kill and
@@ -94,7 +99,7 @@ func (n *LocalNode) Restart() error {
 	return nil
 }
 
-// Close shuts the node down cleanly.
+// Close implements Node: it shuts the node down cleanly.
 func (n *LocalNode) Close() error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -114,7 +119,7 @@ func (n *LocalNode) live() (*engine.DB, error) {
 }
 
 // Query implements Node.
-func (n *LocalNode) Query(ctx context.Context, sqlText string, floor uint64) (*engine.Result, error) {
+func (n *LocalNode) Query(ctx context.Context, st *sql.Select, floor uint64) (*engine.Result, error) {
 	db, err := n.live()
 	if err != nil {
 		return nil, err
@@ -122,7 +127,7 @@ func (n *LocalNode) Query(ctx context.Context, sqlText string, floor uint64) (*e
 	if err := db.CheckFloor(floor); err != nil {
 		return nil, err
 	}
-	res, err := db.QueryContext(ctx, sqlText)
+	res, err := db.Run(ctx, st)
 	if err != nil {
 		if !n.alive.Load() {
 			return nil, fmt.Errorf("%w: %s died mid-query: %v", ErrUnavailable, n.name, err)
@@ -133,12 +138,12 @@ func (n *LocalNode) Query(ctx context.Context, sqlText string, floor uint64) (*e
 }
 
 // Exec implements Node.
-func (n *LocalNode) Exec(ctx context.Context, sqlText string) (*engine.Result, uint64, error) {
+func (n *LocalNode) Exec(ctx context.Context, st sql.Statement) (*engine.Result, uint64, error) {
 	db, err := n.live()
 	if err != nil {
 		return nil, 0, err
 	}
-	res, err := db.ExecContext(ctx, sqlText)
+	res, err := db.Run(ctx, st)
 	if err != nil {
 		if !n.alive.Load() {
 			return nil, 0, fmt.Errorf("%w: %s died mid-statement: %v", ErrUnavailable, n.name, err)

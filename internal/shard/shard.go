@@ -2,14 +2,17 @@
 // in-process shard nodes, each a complete engine, hold hash-disjoint
 // slices of every sharded table, partitioned by the hash of a per-table key
 // column (by convention the first schema column). A Cluster fronts the
-// nodes with a coordinator that plans each statement:
+// nodes with a coordinator that parses each statement once and plans it;
+// a shard runs the parsed statement, or one planned from it, and never
+// SQL text:
 //
 //   - a SELECT whose WHERE pins the shard key with `=` routes to exactly
 //     one shard (the pinned fast path, counted separately from scatters);
 //   - any other read scatters: engine.SplitSelect gives the statement every
 //     shard runs and the merge that combines their results through the
 //     engine's own SELECT compiler;
-//   - an INSERT splits its rows by key hash, DDL and model loads broadcast.
+//   - an INSERT is checked whole by the engine's row check, then splits its
+//     rows by key hash; DDL and model loads broadcast.
 //
 // Sessions keep a per-shard read-your-writes floor: each write records the
 // CSN the owning shard committed, and later reads require that shard's
@@ -21,7 +24,6 @@ package shard
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/fnv"
 	"math"
 
@@ -60,19 +62,4 @@ func HashValue(v table.Value) uint64 {
 // ShardOf maps a key value to a shard index among n shards.
 func ShardOf(v table.Value, n int) int {
 	return int(HashValue(v) % uint64(n))
-}
-
-// coerceKey converts a literal to the key column's stored type, mirroring
-// what the engine does on INSERT, so the coordinator hashes exactly the
-// value the shard stores. A literal the engine would reject (or that can
-// never equal a stored value, like 1.5 against an INT column) returns an
-// error; pinning then falls back to a scatter.
-func coerceKey(v table.Value, t table.ColType) (table.Value, error) {
-	if v.Type == t {
-		return v, nil
-	}
-	if v.Type == table.Int64 && t == table.Float64 {
-		return table.FloatVal(float64(v.Int)), nil
-	}
-	return table.Value{}, fmt.Errorf("shard: cannot coerce %v key literal to column type %v", v.Type, t)
 }

@@ -49,11 +49,16 @@ func (*PredictExpr) OutName() string { return "prediction" }
 type AggExpr struct {
 	Fn  string // upper-cased: COUNT, SUM, AVG, MIN, MAX
 	Col string // empty for COUNT(*)
+	// As, if set, names the output column. The parser never sets it.
+	As string
 }
 
-// OutName is the aggregate's output column name: `count` for COUNT,
-// otherwise `<fn>_<col>` (e.g. `sum_amount`).
+// OutName is the aggregate's output column name: As if set, else `count`
+// for COUNT, otherwise `<fn>_<col>` (e.g. `sum_amount`).
 func (a *AggExpr) OutName() string {
+	if a.As != "" {
+		return a.As
+	}
 	if a.Fn == "COUNT" {
 		return "count"
 	}

@@ -8,11 +8,11 @@ import (
 	"tensorbase/internal/table"
 )
 
-// Render turns a parsed statement back into SQL text. The shard planner
-// uses it to push rewritten subplans (per-shard INSERT row subsets,
-// partial-aggregate SELECTs) to shard nodes over the wire, so rendering
-// must round-trip through Parse without changing meaning — in particular
-// float literals render with full precision.
+// Render turns a parsed statement back into SQL text: for the slow-query
+// log, and for tools and tests that build statements as values. Rendering
+// round-trips through Parse without changing meaning — in particular float
+// literals render with full precision. AggExpr.As, which the parser never
+// sets, is not rendered.
 func Render(st Statement) string {
 	var sb strings.Builder
 	switch s := st.(type) {
