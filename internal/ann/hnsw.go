@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // HNSW is a hierarchical navigable small world graph (Malkov & Yashunin),
@@ -186,7 +186,14 @@ func (h *HNSW) pruneNeighbors(n, l, maxConn int) {
 	for _, nb := range adj {
 		cands = append(cands, Result{ID: int64(nb), Dist: SquaredL2(h.nodes[n].vec, h.nodes[nb].vec)})
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].Dist < cands[j].Dist })
+	// A less-only comparator, as sort.Slice's was: cmp.Compare would order
+	// NaN distances differently and move edges.
+	slices.SortFunc(cands, func(a, b Result) int {
+		if a.Dist < b.Dist {
+			return -1
+		}
+		return 0
+	})
 	best := h.selectHeuristic(cands, maxConn)
 	out := adj[:0]
 	for _, r := range best {

@@ -10,8 +10,10 @@ package cache
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -22,24 +24,31 @@ import (
 	"tensorbase/internal/tensor"
 )
 
+// scanMax is the widest first-coordinate window a lookup scans exactly; a
+// wider one searches the ANN index. It is HNSW's default efSearch: one beam
+// search already computes more distances than that.
+const scanMax = 64
+
 // ResultCache maps feature vectors to cached prediction vectors through an
-// ANN index. It is safe for concurrent use: lookups run the ANN search under
-// a read lock so they do not serialise behind each other, only inserts take
-// the write lock, and duplicate in-flight misses can be collapsed with the
-// single-flight protocol (ProbeFlight).
+// ANN index. It is safe for concurrent use: lookups run under a read lock,
+// only inserts and a lookup that catches the index up take the write lock,
+// and duplicate in-flight misses can be collapsed with the single-flight
+// protocol (ProbeFlight).
 type ResultCache struct {
-	mu         sync.RWMutex // guards index structure and preds map
-	index      ann.Index
+	mu         sync.RWMutex // guards everything below
+	index      ann.Index    // holds entries [0, indexed), added lazily
+	indexed    int
 	dim        int
-	maxDist    float64 // squared L2 admission threshold
-	maxEntries int     // 0 = unbounded
-	preds      map[int64][]float32
-	exact      map[string]int64 // featKey → id: O(1) path for identical repeats
+	maxDist    float64          // squared L2 admission threshold
+	maxEntries int              // 0 = unbounded
+	feats      [][]float32      // by id; ids are dense, in insert order
+	preds      [][]float32      // by id
+	exact      map[string]int64 // exact key → id: O(1) path for repeats
 	// first holds every admitted entry's features[0], ascending (NaN
-	// excluded): an exact window that rules out misses before the ANN
-	// search (see mayHit).
-	first  []float32
-	nextID int64
+	// excluded), and firstIDs the entries' ids in the same order: the
+	// window of entries a lookup must consider (see window).
+	first    []float32
+	firstIDs []int64
 
 	hits     atomic.Int64
 	misses   atomic.Int64
@@ -51,11 +60,12 @@ type ResultCache struct {
 	flights map[string]*flight
 }
 
-// New returns a cache over index for dim-wide features. A lookup hits when
-// the nearest cached entry is within maxSquaredDist.
+// New returns a cache over index, which must be empty, for dim-wide
+// features. A lookup hits when the nearest cached entry is within
+// maxSquaredDist.
 func New(index ann.Index, dim int, maxSquaredDist float64) (*ResultCache, error) {
-	if index == nil {
-		return nil, fmt.Errorf("cache: nil index")
+	if index == nil || index.Len() != 0 {
+		return nil, fmt.Errorf("cache: nil or non-empty index")
 	}
 	if dim < 1 {
 		return nil, fmt.Errorf("cache: dimension %d < 1", dim)
@@ -67,14 +77,13 @@ func New(index ann.Index, dim int, maxSquaredDist float64) (*ResultCache, error)
 		index:   index,
 		dim:     dim,
 		maxDist: maxSquaredDist,
-		preds:   make(map[int64][]float32),
 		exact:   make(map[string]int64),
 		flights: make(map[string]*flight),
 	}, nil
 }
 
-// SetMaxEntries caps the number of cached entries; once the index holds n
-// vectors further inserts are rejected (counted in Counters().Rejected).
+// SetMaxEntries caps the number of cached entries; once the cache holds n
+// entries further inserts are rejected (counted in Counters().Rejected).
 // n <= 0 removes the cap.
 func (c *ResultCache) SetMaxEntries(n int) {
 	c.mu.Lock()
@@ -94,26 +103,34 @@ func NewHNSW(dim int, maxSquaredDist float64) (*ResultCache, error) {
 func (c *ResultCache) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.index.Len()
+	return len(c.preds)
 }
 
 // Lookup returns the cached prediction for the nearest entry within the
 // distance threshold, or ok=false. The returned slice must not be mutated.
-// Concurrent lookups proceed in parallel (read lock): only inserts exclude
-// them. An identical repeat of a cached feature vector is answered from an
-// exact-match map in O(1); the ANN search only runs when some entry's first
-// coordinate alone is within the threshold (mayHit).
+// Concurrent lookups proceed in parallel (read lock). An identical repeat
+// of a cached feature vector is answered from an exact-match map in O(1);
+// otherwise only entries whose first coordinate is near enough count.
 func (c *ResultCache) Lookup(features []float32) (pred []float32, ok bool, err error) {
 	if len(features) != c.dim {
 		return nil, false, fmt.Errorf("cache: feature width %d, want %d", len(features), c.dim)
 	}
-	return c.lookupKeyed(features, featKey(features))
+	var buf [keyStack]byte
+	return c.lookupKeyed(features, appendKey(buf[:0], features))
 }
 
-func (c *ResultCache) lookupKeyed(features []float32, key string) (pred []float32, ok bool, err error) {
+// errBehind marks a search the lagging index cannot answer under a read lock.
+var errBehind = errors.New("cache: index behind")
+
+func (c *ResultCache) lookupKeyed(features []float32, key []byte) (pred []float32, ok bool, err error) {
 	c.mu.RLock()
-	pred, ok, err = c.probeLocked(features, key)
+	pred, ok, err = c.probeLocked(features, key, false)
 	c.mu.RUnlock()
+	if errors.Is(err, errBehind) {
+		c.mu.Lock()
+		pred, ok, err = c.probeLocked(features, key, true)
+		c.mu.Unlock()
+	}
 	switch {
 	case err != nil:
 		return nil, false, err
@@ -126,60 +143,81 @@ func (c *ResultCache) lookupKeyed(features []float32, key string) (pred []float3
 }
 
 // probeLocked is the lookup proper, without hit/miss accounting; the caller
-// holds mu for reading.
-func (c *ResultCache) probeLocked(features []float32, key string) ([]float32, bool, error) {
-	if id, hit := c.exact[key]; hit {
+// holds mu, for writing if write is set. A window of at most scanMax
+// entries is scanned exactly; only a wider one searches the index, after
+// adding the entries it lacks in id order: the graph eager inserts build.
+func (c *ResultCache) probeLocked(features []float32, key []byte, write bool) ([]float32, bool, error) {
+	if id, hit := c.exact[string(key)]; hit {
 		return c.preds[id], true, nil
 	}
-	if c.maxDist == 0 || !c.mayHit(features[0]) {
-		// Exact-only mode: a zero-distance ANN hit implies bit-identical
-		// features (modulo ±0), which the exact map already answered. An
-		// empty first-coordinate window proves no entry is within maxDist.
-		// Either way the beam search could only miss, so skip it.
+	if c.maxDist == 0 {
+		// Exact-only mode: a zero-distance hit implies bit-identical
+		// features (modulo ±0), which the exact map already answered.
 		return nil, false, nil
+	}
+	lo, hi := c.window(features[0])
+	if hi-lo <= scanMax {
+		best, bestDist := int64(-1), c.maxDist
+		for _, id := range c.firstIDs[lo:hi] {
+			if d := ann.SquaredL2(features, c.feats[id]); d <= bestDist && (d < bestDist || best < 0 || id < best) {
+				best, bestDist = id, d
+			}
+		}
+		if best >= 0 {
+			return c.preds[best], true, nil
+		}
+		return nil, false, nil
+	}
+	for ; c.indexed < len(c.feats); c.indexed++ {
+		if !write {
+			return nil, false, errBehind
+		}
+		if err := c.index.Add(int64(c.indexed), c.feats[c.indexed]); err != nil {
+			return nil, false, err
+		}
 	}
 	c.searches.Add(1)
 	res, err := c.index.Search(features, 1)
 	if err == nil && len(res) > 0 && res[0].Dist <= c.maxDist {
-		p, found := c.preds[res[0].ID]
-		return p, found, nil
+		return c.preds[res[0].ID], true, nil
 	}
 	return nil, false, err
 }
 
-// mayHit reports whether some entry's first coordinate alone is within
-// maxDist of q0; the caller holds mu. ann.SquaredL2 sums non-negative
-// float64 terms, and rounded addition is monotone, so an entry's distance
-// is never below its first term t0 = (q0-e0)²: when no entry has
-// t0 <= maxDist, no entry can hit. t0 shrinks toward q0 from either side,
-// so the entries with t0 <= maxDist are one contiguous run of first, and
-// the predicate below is false before that run and true from it on. A NaN
-// q0 is near nothing, and with a finite maxDist neither is an infinite one,
-// as Search's NaN or infinite distances miss. An infinite maxDist is the one
-// exception: t0 is then near everywhere except NaN at e0 == q0 = ±Inf, which
-// splits the run, so the window only checks that an entry exists.
-func (c *ResultCache) mayHit(q0 float32) bool {
+// window returns the run first[lo:hi] of entries whose first term
+// t0 = (q0-e0)² is within maxDist; the caller holds mu. ann.SquaredL2 sums
+// non-negative float64 terms, and rounded addition is monotone, so an
+// entry's distance is never below t0: no entry outside the run can hit. t0
+// shrinks toward q0 from either side, so the entries with t0 <= maxDist are
+// one contiguous run of first. A NaN q0 is near nothing, and with a finite
+// maxDist neither is an infinite one, as their distances are NaN or
+// infinite. An infinite maxDist is the one exception: t0 is then near
+// everywhere except NaN at e0 == q0 = ±Inf, which splits the run, so the
+// window is every entry.
+func (c *ResultCache) window(q0 float32) (lo, hi int) {
+	n := len(c.first)
 	if math.IsInf(c.maxDist, 1) {
-		return len(c.first) > 0
+		return 0, n
 	}
 	near := func(e0 float32) bool {
 		d := float64(q0) - float64(e0)
 		return d*d <= c.maxDist
 	}
-	i := sort.Search(len(c.first), func(i int) bool { return c.first[i] >= q0 || near(c.first[i]) })
-	return i < len(c.first) && near(c.first[i])
+	lo = sort.Search(n, func(i int) bool { return c.first[i] >= q0 || near(c.first[i]) })
+	hi = lo + sort.Search(n-lo, func(i int) bool { return !near(c.first[lo+i]) })
+	return lo, hi
 }
 
 // full reports whether the entry cap is reached; the caller holds mu.
 func (c *ResultCache) full() bool {
-	return c.maxEntries > 0 && c.index.Len() >= c.maxEntries
+	return c.maxEntries > 0 && len(c.preds) >= c.maxEntries
 }
 
 // Insert caches prediction under the given features. When the entry cap is
 // reached the insert is silently rejected (admission control: HNSW does not
 // support deletion, so the cache stops growing instead of evicting). Entries
 // only grow, so a full cache rejects under the read lock without stalling
-// concurrent lookups.
+// concurrent lookups. The index gets the entry when a lookup first needs it.
 func (c *ResultCache) Insert(features, prediction []float32) error {
 	if len(features) != c.dim {
 		return fmt.Errorf("cache: feature width %d, want %d", len(features), c.dim)
@@ -197,18 +235,15 @@ func (c *ResultCache) Insert(features, prediction []float32) error {
 		c.rejected.Add(1)
 		return nil
 	}
-	id := c.nextID
-	c.nextID++
-	if err := c.index.Add(id, features); err != nil {
-		return err
-	}
-	c.preds[id] = append([]float32(nil), prediction...)
-	c.exact[featKey(features)] = id
+	id := int64(len(c.preds))
+	c.feats = append(c.feats, append([]float32(nil), features...))
+	c.preds = append(c.preds, append([]float32(nil), prediction...))
+	var buf [keyStack]byte
+	c.exact[string(appendKey(buf[:0], features))] = id
 	if f0 := features[0]; !math.IsNaN(float64(f0)) { // NaN never hits and would break the order
-		i := sort.Search(len(c.first), func(i int) bool { return c.first[i] >= f0 })
-		c.first = append(c.first, 0)
-		copy(c.first[i+1:], c.first[i:])
-		c.first[i] = f0
+		i := sort.Search(len(c.first), func(i int) bool { return c.first[i] > f0 })
+		c.first = slices.Insert(c.first, i, f0)
+		c.firstIDs = slices.Insert(c.firstIDs, i, id)
 	}
 	return nil
 }
@@ -259,19 +294,22 @@ type flight struct {
 // depends on it.
 type Flight struct {
 	c      *ResultCache
-	key    string
+	key    string // the leader's
 	f      *flight
 	leader bool
 }
 
-// featKey is the exact-match single-flight key: the raw bit pattern of the
-// feature vector.
-func featKey(v []float32) string {
-	b := make([]byte, len(v)*4)
-	for i, x := range v {
-		binary.LittleEndian.PutUint32(b[i*4:], math.Float32bits(x))
+// keyStack bytes of key, 256 features, are built on a lookup's stack.
+const keyStack = 1024
+
+// appendKey appends v's exact-match and single-flight key, the raw bit
+// pattern of the feature vector, to dst. Indexing a map with string(key)
+// does not allocate.
+func appendKey(dst []byte, v []float32) []byte {
+	for _, x := range v {
+		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(x))
 	}
-	return string(b)
+	return dst
 }
 
 // ProbeFlight is the single-flight lookup: a hit returns the cached
@@ -282,21 +320,22 @@ func (c *ResultCache) ProbeFlight(features []float32) (pred []float32, ok bool, 
 	if len(features) != c.dim {
 		return nil, false, nil, fmt.Errorf("cache: feature width %d, want %d", len(features), c.dim)
 	}
-	key := featKey(features)
+	var buf [keyStack]byte
+	key := appendKey(buf[:0], features)
 	pred, ok, err = c.lookupKeyed(features, key)
 	if err != nil || ok {
 		return pred, ok, nil, err
 	}
 	c.fmu.Lock()
-	if f, inflight := c.flights[key]; inflight {
+	if f, inflight := c.flights[string(key)]; inflight {
 		c.fmu.Unlock()
-		return nil, false, &Flight{c: c, key: key, f: f}, nil
+		return nil, false, &Flight{c: c, f: f}, nil
 	}
 	// A leader may have committed between the lookup above and fmu: Commit
 	// inserts before it settles, so re-check the exact map rather than lead
 	// (and insert) the same features a second time.
 	c.mu.RLock()
-	id, hit := c.exact[key]
+	id, hit := c.exact[string(key)]
 	if hit {
 		pred = c.preds[id]
 	}
@@ -308,9 +347,10 @@ func (c *ResultCache) ProbeFlight(features []float32) (pred []float32, ok bool, 
 		return pred, true, nil, nil
 	}
 	f := &flight{done: make(chan struct{})}
-	c.flights[key] = f
+	lkey := string(key)
+	c.flights[lkey] = f
 	c.fmu.Unlock()
-	return nil, false, &Flight{c: c, key: key, f: f, leader: true}, nil
+	return nil, false, &Flight{c: c, key: lkey, f: f, leader: true}, nil
 }
 
 // Leader reports whether this handle owns the computation.

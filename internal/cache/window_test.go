@@ -14,9 +14,9 @@ import (
 
 // TestWindowSkipsSearchesOnDisjointProbes is the predict_cached shape as an
 // exact count: 1024 Fraud rows cached at threshold 1e-9, then the other 1024
-// rows probed. None can hit, and the first-coordinate window proves it for
-// all but a handful, so the HNSW search runs for only those few (without
-// the window it runs for every one of the 1024 misses).
+// rows probed. None can hit. The first-coordinate window is empty for all
+// but a handful, and those few windows hold a few entries each, so they are
+// scanned exactly: no lookup searches, and the HNSW is never built.
 func TestWindowSkipsSearchesOnDisjointProbes(t *testing.T) {
 	const n, half = 2048, 1024
 	d := data.Fraud(1, n)
@@ -33,30 +33,113 @@ func TestWindowSkipsSearchesOnDisjointProbes(t *testing.T) {
 		}
 	}
 	c := rc.Counters()
-	if c.Misses != half || c.Hits != 0 {
-		t.Fatalf("hits=%d misses=%d, want 0 and %d", c.Hits, c.Misses, half)
+	if c.Misses != half || c.Hits != 0 || c.Entries != half {
+		t.Fatalf("hits=%d misses=%d entries=%d, want 0, %d and %d", c.Hits, c.Misses, c.Entries, half, half)
 	}
-	if c.Searches > 32 {
-		t.Fatalf("%d ANN searches for %d provable misses, want <= 32", c.Searches, half)
+	if c.Searches != 0 || rc.index.Len() != 0 {
+		t.Fatalf("%d ANN searches, %d graph nodes for %d provable misses, want 0 and 0", c.Searches, rc.index.Len(), half)
 	}
 }
 
-// unfilteredLocked is the lookup without the first-coordinate window: the
-// exact map, exact-only mode, then index.Search(q, 1) with <= maxDist
-// applied directly. The caller holds c.mu for reading.
-func unfilteredLocked(c *ResultCache, q []float32) ([]float32, bool, error) {
-	if id, hit := c.exact[featKey(q)]; hit {
-		return c.preds[id], true, nil
+// TestExactOnlyBuildsNoGraph: at distance 0 the whole cache is its exact
+// map, so no number of inserts or lookups adds a node to the graph.
+func TestExactOnlyBuildsNoGraph(t *testing.T) {
+	d := data.Fraud(2, 512)
+	rc := newTestCache(t, d.X.Dim(1), 0)
+	for i := 0; i < d.X.Dim(0); i++ {
+		if err := rc.Insert(d.X.Row(i), []float32{float32(i)}); err != nil {
+			t.Fatal(err)
+		}
+		q := append([]float32(nil), d.X.Row(i/2)...)
+		q[i%len(q)] += 1e-3
+		if _, _, err := rc.Lookup(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, s := rc.index.Len(), rc.Counters().Searches; n != 0 || s != 0 {
+		t.Fatalf("exact-only cache: %d graph nodes, %d searches, want 0 and 0", n, s)
+	}
+}
+
+// TestHitAllocatesNothing: an exact hit builds its key on the stack and
+// indexes the map with string(key), which does not allocate.
+func TestHitAllocatesNothing(t *testing.T) {
+	d := data.Fraud(1, 64)
+	rc := newTestCache(t, d.X.Dim(1), 1e-9)
+	for i := 0; i < d.X.Dim(0); i++ {
+		if err := rc.Insert(d.X.Row(i), []float32{float32(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := d.X.Row(7)
+	if n := testing.AllocsPerRun(100, func() {
+		if _, ok, err := rc.Lookup(q); !ok || err != nil {
+			t.Fatalf("Lookup: ok=%v err=%v", ok, err)
+		}
+	}); n != 0 {
+		t.Errorf("exact-hit Lookup: %v allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, ok, fl, err := rc.ProbeFlight(q); !ok || fl != nil || err != nil {
+			t.Fatalf("ProbeFlight: ok=%v fl=%v err=%v", ok, fl, err)
+		}
+	}); n != 0 {
+		t.Errorf("exact-hit ProbeFlight: %v allocations, want 0", n)
+	}
+}
+
+// nearestWithin is the narrow-window oracle: the entry ann.Brute ranks
+// nearest to q among those within maxDist, the lowest id on a tie (Brute's
+// sort is not stable, and NaN distances upset its order, so the minimum is
+// taken here). The caller holds c.mu.
+func nearestWithin(t testing.TB, c *ResultCache, q []float32) ([]float32, bool) {
+	t.Helper()
+	b := ann.NewBrute(c.dim)
+	for id, f := range c.feats {
+		if err := b.Add(int64(id), f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := b.Search(q, len(c.feats)+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	best := ann.Result{ID: -1}
+	for _, r := range res {
+		if r.Dist <= c.maxDist && (best.ID < 0 || r.Dist < best.Dist || r.Dist == best.Dist && r.ID < best.ID) {
+			best = r
+		}
+	}
+	if best.ID < 0 {
+		return nil, false
+	}
+	return c.preds[best.ID], true
+}
+
+// oracleLocked is what a lookup must answer, decided without the cache's
+// own lookup code: the exact map, exact-only mode, then, by the width of
+// the first-coordinate window, the exact nearest entry (nearestWithin) or
+// the answer of eager, an index built by adding every entry as it was
+// inserted. The caller holds c.mu.
+func oracleLocked(t testing.TB, c *ResultCache, eager ann.Index, q []float32) ([]float32, bool) {
+	t.Helper()
+	if id, hit := c.exact[string(appendKey(nil, q))]; hit {
+		return c.preds[id], true
 	}
 	if c.maxDist == 0 {
-		return nil, false, nil
+		return nil, false
 	}
-	res, err := c.index.Search(q, 1)
-	if err != nil || len(res) == 0 || !(res[0].Dist <= c.maxDist) {
-		return nil, false, err
+	if lo, hi := c.window(q[0]); hi-lo <= scanMax {
+		return nearestWithin(t, c, q)
 	}
-	p, ok := c.preds[res[0].ID]
-	return p, ok, nil
+	res, err := eager.Search(q, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) == 0 || !(res[0].Dist <= c.maxDist) {
+		return nil, false
+	}
+	return c.preds[res[0].ID], true
 }
 
 // TestWindowBoundaryIsSquaredL2s pins the window's edge to the exact float64
@@ -168,23 +251,35 @@ func windowQuery(rng *rand.Rand, dim int, seen [][]float32) []float32 {
 	return q
 }
 
-func windowCaches(t *testing.T, dim int, thresh float64) map[string]*ResultCache {
+// windowCase is a cache and its eager twin: an index of the same kind that
+// gets every entry at insert time.
+type windowCase struct {
+	c     *ResultCache
+	eager ann.Index
+}
+
+func windowCaches(t *testing.T, dim int, thresh float64) map[string]windowCase {
 	t.Helper()
 	brute, err := New(ann.NewBrute(dim), dim, thresh)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]*ResultCache{"hnsw": newTestCache(t, dim, thresh), "brute": brute}
+	return map[string]windowCase{
+		"hnsw":  {newTestCache(t, dim, thresh), ann.NewHNSW(dim, ann.HNSWConfig{Seed: 1})},
+		"brute": {brute, ann.NewBrute(dim)},
+	}
 }
 
-// TestWindowMatchesUnfilteredSearch checks that the window never changes an
-// answer: every Lookup and ProbeFlight, interleaved with inserts, returns
-// exactly what the unfiltered search path returns on the same state.
+// TestWindowMatchesUnfilteredSearch checks every Lookup and ProbeFlight,
+// interleaved with inserts, against an unfiltered oracle on the same state
+// (oracleLocked): a narrow window must return the exact nearest entry within
+// the threshold, a wide one the answer of an eagerly built index.
 func TestWindowMatchesUnfilteredSearch(t *testing.T) {
 	const dim, steps = 4, 900
-	var skipped, approxHits int64
+	var skipped, scanHits, searchHits int64
 	for ti, thresh := range windowThresholds {
-		for name, c := range windowCaches(t, dim, thresh) {
+		for name, wc := range windowCaches(t, dim, thresh) {
+			c := wc.c
 			rng := rand.New(rand.NewSource(int64(100*ti + len(name))))
 			var seen [][]float32
 			for step := 0; step < steps; step++ {
@@ -196,37 +291,41 @@ func TestWindowMatchesUnfilteredSearch(t *testing.T) {
 					if err := c.Insert(v, []float32{float32(step)}); err != nil {
 						t.Fatal(err)
 					}
+					if err := wc.eager.Add(int64(len(seen)), v); err != nil {
+						t.Fatal(err)
+					}
 					seen = append(seen, v)
 					continue
 				}
 				q := windowQuery(rng, dim, seen)
 				c.mu.RLock()
-				want, wantOK, err := unfilteredLocked(c, q)
-				_, exact := c.exact[featKey(q)]
+				want, wantOK := oracleLocked(t, c, wc.eager, q)
+				_, exact := c.exact[string(appendKey(nil, q))]
+				lo, hi := c.window(q[0])
 				c.mu.RUnlock()
-				if err != nil {
-					t.Fatal(err)
-				}
 				before := c.Counters().Searches
 				got, ok, err := c.Lookup(q)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !sameAnswer(got, ok, want, wantOK) {
-					t.Fatalf("%s thresh=%g q=%v: Lookup (%v, %v), unfiltered (%v, %v)", name, thresh, q, got, ok, want, wantOK)
+					t.Fatalf("%s thresh=%g q=%v window=%d: Lookup (%v, %v), oracle (%v, %v)", name, thresh, q, hi-lo, got, ok, want, wantOK)
 				}
-				if !ok && thresh > 0 && c.Counters().Searches == before {
+				searched := c.Counters().Searches > before
+				if !ok && thresh > 0 && !searched {
 					skipped++
 				}
-				if ok && !exact {
-					approxHits++
+				if ok && !exact && searched {
+					searchHits++
+				} else if ok && !exact {
+					scanHits++
 				}
 				pred, pok, fl, err := c.ProbeFlight(q)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !sameAnswer(pred, pok, want, wantOK) {
-					t.Fatalf("%s thresh=%g q=%v: ProbeFlight (%v, %v), unfiltered (%v, %v)", name, thresh, q, pred, pok, want, wantOK)
+					t.Fatalf("%s thresh=%g q=%v: ProbeFlight (%v, %v), oracle (%v, %v)", name, thresh, q, pred, pok, want, wantOK)
 				}
 				if fl != nil {
 					fl.Cancel(errors.New("probe only"))
@@ -234,19 +333,22 @@ func TestWindowMatchesUnfilteredSearch(t *testing.T) {
 			}
 		}
 	}
-	// The comparison is only meaningful if both branches were exercised.
-	if skipped == 0 || approxHits == 0 {
-		t.Fatalf("vacuous run: %d searches skipped, %d non-exact hits", skipped, approxHits)
+	// The comparison is only meaningful if every branch was exercised.
+	if skipped == 0 || scanHits == 0 || searchHits == 0 {
+		t.Fatalf("vacuous run: %d searches skipped, %d scanned hits, %d searched hits", skipped, scanHits, searchHits)
 	}
 }
 
-// TestWindowConcurrentInsertsAndLookups runs the window against the
-// unfiltered path while inserts grow the cache. Each comparison holds the
-// read lock, so both paths see one state; under -race this also checks
-// that first is only written under the write lock.
+// TestWindowConcurrentInsertsAndLookups runs lookups while a writer inserts.
+// Readers compare narrow windows against the exact oracle under the read
+// lock, so both see one state, and at +Inf every window is wide once the
+// cache outgrows scanMax, so readers race each other and the writer to
+// catch the graph up. Under -race this checks that first, the entries and
+// the graph are only written under the write lock; at the end the graph
+// must answer every search as an eager build of the same entries does.
 func TestWindowConcurrentInsertsAndLookups(t *testing.T) {
 	const dim, readers, iters = 4, 4, 300
-	for _, thresh := range []float64{1e-9, 1e-3} {
+	for _, thresh := range []float64{1e-9, 1e-3, math.Inf(1)} {
 		c := newTestCache(t, dim, thresh)
 		var wg sync.WaitGroup
 		errs := make(chan error, readers+1)
@@ -276,17 +378,18 @@ func TestWindowConcurrentInsertsAndLookups(t *testing.T) {
 					smu.Lock()
 					q := windowQuery(rng, dim, seen)
 					smu.Unlock()
-					key := featKey(q)
+					var bad error
 					c.mu.RLock()
-					got, ok, gerr := c.probeLocked(q, key)
-					want, wantOK, werr := unfilteredLocked(c, q)
-					c.mu.RUnlock()
-					if gerr != nil || werr != nil {
-						errs <- fmt.Errorf("probe: %v / %v", gerr, werr)
-						return
+					if lo, hi := c.window(q[0]); hi-lo <= scanMax {
+						got, ok, gerr := c.probeLocked(q, appendKey(nil, q), false)
+						want, wantOK := oracleLocked(t, c, nil, q) // narrow: no eager index needed
+						if gerr != nil || !sameAnswer(got, ok, want, wantOK) {
+							bad = fmt.Errorf("thresh=%g q=%v: window (%v, %v, %v), oracle (%v, %v)", thresh, q, got, ok, gerr, want, wantOK)
+						}
 					}
-					if !sameAnswer(got, ok, want, wantOK) {
-						errs <- fmt.Errorf("thresh=%g q=%v: window (%v, %v), unfiltered (%v, %v)", thresh, q, got, ok, want, wantOK)
+					c.mu.RUnlock()
+					if bad != nil {
+						errs <- bad
 						return
 					}
 					if _, _, err := c.Lookup(q); err != nil {
@@ -300,6 +403,30 @@ func TestWindowConcurrentInsertsAndLookups(t *testing.T) {
 		close(errs)
 		for err := range errs {
 			t.Fatal(err)
+		}
+		if _, _, err := c.Lookup(make([]float32, dim)); err != nil {
+			t.Fatal(err)
+		}
+		if thresh < math.Inf(1) {
+			continue
+		}
+		if c.Counters().Searches == 0 || c.indexed != len(c.feats) {
+			t.Fatalf("+Inf: %d searches, %d of %d entries indexed", c.Counters().Searches, c.indexed, len(c.feats))
+		}
+		eager := ann.NewHNSW(dim, ann.HNSWConfig{Seed: 1})
+		for id, f := range c.feats {
+			if err := eager.Add(int64(id), f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Equal graphs answer every search alike (reflect.DeepEqual cannot
+		// say so: the entries hold NaN).
+		for _, f := range c.feats {
+			got, gerr := c.index.Search(f, 8)
+			want, werr := eager.Search(f, 8)
+			if gerr != nil || werr != nil || fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("lazily caught-up graph answers %v (%v), an eager build %v (%v)", got, gerr, want, werr)
+			}
 		}
 	}
 }
